@@ -585,8 +585,6 @@ mod tests {
         let opts = c.train_pipeline_options();
         assert_eq!(opts.threads, 3);
         assert_eq!(opts.cooc, CoocMode::Streaming);
-        // Offline training auto-sizes; only the online learner pins.
-        assert!(!opts.pinned);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! [`ScanEngine`] is the production scan surface: it holds a shared
 //! trained model (`Arc<AutoDetect>`) and fans the columns of a table,
 //! corpus, or streamed CSV over a pool of scoped worker threads. Workers
-//! pull column indices from an atomic queue (the same shape as
-//! `adt_stats::build_stats_for_languages`), each keeping a private
+//! pull column indices from an atomic queue (the same shape as the
+//! `adt_stats` training pipeline's language tasks), each keeping a private
 //! [`PatternCache`] so every distinct value is generalized once under all
 //! languages and reused across the columns that worker scans.
 //!

@@ -30,9 +30,9 @@
 //!    detector set per scan with per-detector instrumentation and merges
 //!    rankings under a pluggable [`MergePolicy`] (union / vote(k) /
 //!    calibrated), deterministically at any thread count;
-//! 10. [`online`] — the [`OnlineLearner`]: absorbs new columns into
-//!     exact per-language accumulators and retrains incrementally,
-//!     byte-identical to a from-scratch train on the union corpus;
+//! 10. [`online`] — the [`OnlineLearner`]: keeps a seeded, bounded
+//!     reservoir of the columns it absorbs and retrains with [`train`]
+//!     on them, byte-identical to an offline train on the same columns;
 //! 11. [`error`] — the typed [`AdtError`] every fallible API returns.
 
 pub mod aggregate;
@@ -76,6 +76,4 @@ pub use model::{
 };
 pub use online::{OnlineLearner, OnlineReport};
 pub use selection::{greedy_select, CandidateSummary, SelectionResult};
-pub use training::{
-    build_training_set, build_training_set_with_crude, Example, Label, TrainingSet,
-};
+pub use training::{build_training_set, Example, Label, TrainingSet};

@@ -13,7 +13,7 @@ use adt_stats::{LanguageStats, PipelineReport, StatsError};
 use std::io;
 use std::path::Path;
 
-pub(crate) fn pipeline_error(e: StatsError) -> AdtError {
+fn pipeline_error(e: StatsError) -> AdtError {
     let StatsError::WorkerPanicked(phase) = e;
     AdtError::Worker(phase)
 }
@@ -50,9 +50,11 @@ pub struct TrainReport {
     pub selected_ids: Vec<String>,
     /// Final model size in bytes (after optional sketching).
     pub model_bytes: usize,
-    /// Training-pipeline counters (interned values, generalizations
-    /// performed vs saved, per-phase wall-clock), summed over the
-    /// calibration and assembly passes.
+    /// Training-pipeline counters over the calibration and assembly
+    /// passes: the corpus counts (`columns`, `value_occurrences`,
+    /// `interned_values`) describe the corpus once, while the work
+    /// counters (languages, batches, generalizations, phase times) are
+    /// summed over both passes (see [`PipelineReport::absorb`]).
     pub pipeline: PipelineReport,
 }
 
@@ -91,15 +93,9 @@ impl<'t> InternedTrainingSet<'t> {
     }
 
     /// Scores every example under `stats`, in example order: exactly
-    /// `stats.score_values(u, v, npmi)` per example.
-    pub(crate) fn scores(&self, stats: &LanguageStats, npmi: adt_stats::NpmiParams) -> Vec<f64> {
-        let hashes: Vec<PatternHash> = self.values.iter().map(|v| stats.pattern_of(v)).collect();
-        self.scores_from_hashes(stats, &hashes, npmi)
-    }
-
-    /// [`InternedTrainingSet::scores`] from precomputed pattern hashes:
-    /// `hashes[i]` must be `stats.pattern_of(values()[i])`, as the
-    /// training pipeline's probe hashes are.
+    /// `stats.score_values(u, v, npmi)` per example, given
+    /// `hashes[i] == stats.pattern_of(values()[i])`, as the training
+    /// pipeline's probe hashes are.
     pub(crate) fn scores_from_hashes(
         &self,
         stats: &LanguageStats,
@@ -193,8 +189,9 @@ pub fn calibrate_candidates(
 }
 
 /// Training phases 2–3: greedy selection under the budget, then model
-/// assembly (rebuilding statistics for the selected languages only,
-/// through the pipeline).
+/// assembly: statistics for the selected languages only are rebuilt
+/// through the pipeline, optionally compressed into sketches, and
+/// packaged with their calibrations.
 pub fn select_and_assemble(
     corpus: &Corpus,
     config: &AutoDetectConfig,
@@ -202,11 +199,19 @@ pub fn select_and_assemble(
     pool: &[CalibratedCandidate],
 ) -> Result<(AutoDetect, TrainReport), AdtError> {
     // Phase 2: greedy selection under the memory budget.
-    let selection = greedy_select(&summarize_pool(pool), config.memory_budget);
+    let summaries: Vec<CandidateSummary> = pool
+        .iter()
+        .enumerate()
+        .map(|(i, c)| CandidateSummary {
+            index: i,
+            size_bytes: c.size_bytes,
+            covered_negatives: c.calibration.covered_negatives.clone(),
+        })
+        .collect();
+    let selection = greedy_select(&summaries, config.memory_budget);
 
     // Phase 3: rebuild stats for the selected languages (one pipeline
-    // pass over the corpus); the shared assembly step then optionally
-    // compresses co-occurrence into sketches.
+    // pass over the corpus), in pick order.
     let selected_languages: Vec<adt_patterns::Language> = selection
         .selected
         .iter()
@@ -222,35 +227,7 @@ pub fn select_and_assemble(
         |_, s, _| s,
     )
     .map_err(pipeline_error)?;
-    assemble_model(config, training, pool, selection, rebuilt, pipeline)
-}
 
-/// Summarizes a calibrated pool for [`greedy_select`].
-pub(crate) fn summarize_pool(pool: &[CalibratedCandidate]) -> Vec<CandidateSummary> {
-    pool.iter()
-        .enumerate()
-        .map(|(i, c)| CandidateSummary {
-            index: i,
-            size_bytes: c.size_bytes,
-            covered_negatives: c.calibration.covered_negatives.clone(),
-        })
-        .collect()
-}
-
-/// The final assembly step, shared by [`select_and_assemble`] and the
-/// online learner's retrain path so the two can never drift: takes the
-/// statistics for the selected languages (in pick order), applies the
-/// budget-driven sketch compression, strips
-/// training-only calibration artifacts, and packages the model and
-/// report.
-pub(crate) fn assemble_model(
-    config: &AutoDetectConfig,
-    training: &TrainingSet,
-    pool: &[CalibratedCandidate],
-    selection: SelectionResult,
-    rebuilt: Vec<LanguageStats>,
-    pipeline: PipelineReport,
-) -> Result<(AutoDetect, TrainReport), AdtError> {
     let reports: Vec<CandidateReport> = pool
         .iter()
         .map(|c| CandidateReport {
@@ -270,7 +247,7 @@ pub(crate) fn assemble_model(
         let mut calibration: Calibration = pool
             .get(i)
             .map(|c| c.calibration.clone())
-            .ok_or(AdtError::Worker("assemble_model"))?;
+            .ok_or(AdtError::Worker("select_and_assemble"))?;
         // Coverage indices are a training artifact; drop them from the
         // shipped model to keep it small.
         calibration.covered_negatives = Vec::new();
@@ -289,11 +266,7 @@ pub(crate) fn assemble_model(
         positives: training.positives(),
         negatives: training.negatives(),
         candidates: reports,
-        selected_ids: selection
-            .selected
-            .iter()
-            .filter_map(|&i| pool.get(i).map(|c| c.language.id()))
-            .collect(),
+        selected_ids: selected_languages.iter().map(|l| l.id()).collect(),
         selection,
         model_bytes: model.size_bytes(),
         pipeline,
@@ -553,9 +526,9 @@ mod tests {
 
     /// Interned scoring must equal scoring each example's strings
     /// directly, bit for bit, under every restricted-space language:
-    /// both from `pattern_of` hashes (the online learner's path) and
-    /// from the pipeline's probe hashes (offline calibration's path),
-    /// including training values that no corpus column holds.
+    /// both from the pipeline's probe hashes (calibration's path) and
+    /// from `pattern_of` hashes, including training values that no
+    /// corpus column holds.
     #[test]
     fn interned_scores_match_score_values_bitwise() {
         use crate::training::{Example, Label};
@@ -606,7 +579,12 @@ mod tests {
             &opts,
             |_, stats, hashes| {
                 let from_matrix = interned.scores_from_hashes(&stats, hashes, cfg.npmi);
-                let from_pattern_of = interned.scores(&stats, cfg.npmi);
+                let hashes: Vec<PatternHash> = interned
+                    .values()
+                    .iter()
+                    .map(|v| stats.pattern_of(v))
+                    .collect();
+                let from_pattern_of = interned.scores_from_hashes(&stats, &hashes, cfg.npmi);
                 let direct: Vec<f64> = training
                     .examples
                     .iter()

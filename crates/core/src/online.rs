@@ -1,134 +1,133 @@
-//! Online learning: incremental training over a growing corpus.
+//! Online learning: a bounded, seeded sample of the columns a deployment
+//! sees, retrained with the offline trainer.
 //!
 //! The offline regime (§4) trains once over a frozen corpus and ships the
 //! model; a serving deployment instead sees a stream of new columns and
-//! wants to fold them in without paying a full rebuild. [`OnlineLearner`]
-//! makes that exact: it keeps one statistics accumulator per candidate
-//! language plus the exact crude-`G` accumulator the distant-supervision
-//! sampler needs, and absorbs each batch of new columns through the same
-//! intern-once pipeline training uses.
+//! wants its model to follow them. Distant supervision (§3.1, Appendix F)
+//! only draws compatible and incompatible pairs from a sample of corpus
+//! columns, so the learner does not need every column it has seen.
+//! [`OnlineLearner`] keeps at most [`RESERVOIR_CAPACITY`] of them in a
+//! reservoir (Algorithm R over the arrival index, seeded from
+//! [`AutoDetectConfig::seed`]), held in arrival order. Absorbing a column
+//! is a reservoir offer and never trains, so memory is bounded by the
+//! capacity whatever the stream's length.
 //!
-//! Exact accumulation is a keyed sum, so it is order- and
-//! partition-independent: `merge(stats(base), stats(delta))` equals
-//! `stats(base ∪ delta)` byte for byte. The one sketch step of the
-//! default mode, `sketch_fraction`'s compression of the selected
-//! languages, happens at model assembly by sorted-key replay
-//! ([`LanguageStats::compress_cooccurrence`]) in both paths, so sketch
-//! models inherit the same identity.
-//!
-//! `retrain` then re-runs the downstream phases — training-set sampling,
-//! scoring, calibration, greedy selection, assembly — over the union
-//! corpus, reusing the accumulators instead of re-scanning the corpus.
-//! The result is byte-identical (under [`crate::model::codec`]) to
-//! [`crate::model::train`] on the union at any thread count; the
-//! differential tests below pin that with and without `sketch_fraction`
-//! at 1/2/4/8 threads. What absorb saves is the corpus-wide statistics
-//! passes (crude build, candidate scan, selected-language rebuild) — the
-//! dominant training cost once the corpus outgrows the delta.
-//!
-//! The trade-off is memory: the learner holds statistics for every
-//! candidate language at once, where offline training calibrates and
-//! drops them batch by batch. Exact accumulators suit the serve-loop
-//! scale this subsystem targets (thousands of columns, coarse spaces);
-//! for growth beyond that, [`adt_stats::CoocMode::Streaming`] keeps the
-//! co-occurrence side bounded at O(width × depth) per language: the
-//! accumulators are count-min-backed from creation
-//! ([`adt_stats::pinned_accumulator`]), every absorb pass is a pinned
-//! pipeline pass ([`PipelineOptions::pinned`]) whose same-geometry
-//! sketches merge cell-wise, and the accumulators survive `retrain`
-//! unchanged (crude `G` stays exact — the sampler needs true counts).
-//! Streaming trades the scratch-train byte-identity for bounded memory:
-//! offline training auto-sizes widths per batch, so the pinned-geometry
-//! online model is its own reproducible artifact (thread- and
-//! split-invariant) rather than a byte-for-byte twin of `train`.
+//! `retrain` is [`crate::model::train`] on exactly the retained columns,
+//! so its model is byte-identical (under [`crate::model::codec`]) to an
+//! offline train on them, at any thread count and in either
+//! co-occurrence mode. While the reservoir fills it keeps every column
+//! in arrival order, so up to the capacity a retrain equals `train` on
+//! everything absorbed.
 
-use crate::calibrate::calibrate_language;
 use crate::config::AutoDetectConfig;
 use crate::detector::AutoDetect;
-use crate::engine::parallel_map;
 use crate::error::AdtError;
-use crate::model::{
-    assemble_model, pipeline_error, summarize_pool, CalibratedCandidate, InternedTrainingSet,
-    TrainReport,
-};
-use crate::selection::greedy_select;
-use crate::training::build_training_set_with_crude;
+use crate::model::{train, TrainReport};
 use adt_corpus::{Column, Corpus};
-use adt_patterns::crude::crude_language;
-use adt_patterns::Language;
-use adt_stats::{
-    build_stats_for_languages, pinned_accumulator, CoocMode, LanguageStats, PipelineOptions,
-    PipelineReport, StatsConfig,
-};
+use adt_rng::rngs::StdRng;
+use adt_rng::{Rng, SeedableRng};
+
+/// Most columns an [`OnlineLearner`] retains, which bounds its memory and
+/// each retrain's cost whatever the stream's length. It is above every
+/// corpus the learner tests train on, so their models equal `train` on
+/// everything absorbed.
+pub const RESERVOIR_CAPACITY: usize = 4_096;
 
 /// Cumulative counters for one learner lifetime.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineReport {
     /// Completed [`OnlineLearner::absorb_columns`] calls.
     pub absorbs: u64,
-    /// Columns absorbed across all calls.
+    /// Columns absorbed across all calls, retained or not.
     pub columns_absorbed: u64,
     /// Completed [`OnlineLearner::retrain`] calls.
     pub retrains: u64,
-    /// Pipeline counters summed over every absorb pass (the only corpus
-    /// scans the learner performs).
-    pub pipeline: PipelineReport,
 }
 
-/// An incremental trainer: absorb columns, then emit a model
-/// byte-identical to a from-scratch train on everything absorbed so far.
+/// A uniform sample of at most `capacity` items from a stream (Algorithm
+/// R): item `i` (0-based arrival index) is kept outright while the
+/// sample has room, and otherwise replaces a uniformly drawn member with
+/// probability `capacity / (i + 1)`. The evicted member is removed and
+/// the newcomer appended, so the sample stays in arrival order. The
+/// draws come from one seeded stream, so the sample is a function of the
+/// seed and the arrival sequence.
+#[derive(Debug, Clone)]
+struct Reservoir<T> {
+    capacity: usize,
+    rng: StdRng,
+    arrivals: u64,
+    items: Vec<T>,
+}
+
+impl<T> Reservoir<T> {
+    fn new(capacity: usize, seed: u64) -> Self {
+        Reservoir {
+            capacity,
+            rng: StdRng::seed_from_u64(seed),
+            arrivals: 0,
+            items: Vec::new(),
+        }
+    }
+
+    /// Offers the next arrival to the sample.
+    fn offer(&mut self, item: T) {
+        let index = self.arrivals;
+        self.arrivals = self.arrivals.saturating_add(1);
+        if self.items.len() < self.capacity {
+            self.items.push(item);
+            return;
+        }
+        let slot = self.rng.random_range(0..=index);
+        if let Some(slot) = usize::try_from(slot).ok().filter(|&s| s < self.items.len()) {
+            self.items.remove(slot);
+            self.items.push(item);
+        }
+    }
+
+    /// The retained items, in arrival order.
+    fn items(&self) -> &[T] {
+        &self.items
+    }
+}
+
+/// An online trainer: absorb columns into a bounded reservoir, then emit
+/// a model byte-identical to a from-scratch train on the retained
+/// columns.
 #[derive(Debug, Clone)]
 pub struct OnlineLearner {
     config: AutoDetectConfig,
-    /// The union of everything absorbed, in arrival order. Training-set
-    /// sampling is a function of corpus order, so arrival order *is* the
-    /// canonical order a from-scratch train must use to reproduce the
-    /// learner's output.
-    corpus: Corpus,
-    languages: Vec<Language>,
-    /// Per-candidate accumulators, aligned with `languages`: exact, or in
-    /// [`CoocMode::Streaming`] pinned-geometry sketches.
-    accumulators: Vec<LanguageStats>,
-    /// Exact crude-`G` accumulator for distant-supervision sampling.
-    crude: LanguageStats,
+    /// The retained columns, in arrival order. Training-set sampling is
+    /// a function of corpus order, so arrival order *is* the order a
+    /// from-scratch train must use to reproduce the learner's output.
+    reservoir: Reservoir<Column>,
     /// Columns absorbed since the last retrain.
     pending: u64,
     report: OnlineReport,
 }
 
 impl OnlineLearner {
-    /// Creates an empty learner for `config`'s candidate space.
+    /// Creates an empty learner for `config`.
     pub fn new(config: AutoDetectConfig) -> Result<Self, AdtError> {
         config.validate()?;
-        let languages = config.candidate_languages();
-        let accumulators = languages
-            .iter()
-            .map(|&l| match config.cooc {
-                CoocMode::Streaming => pinned_accumulator(l),
-                CoocMode::Deferred => LanguageStats::empty(l),
-            })
-            .collect();
         Ok(OnlineLearner {
+            reservoir: Reservoir::new(RESERVOIR_CAPACITY, config.seed),
             config,
-            corpus: Corpus::new(),
-            languages,
-            accumulators,
-            crude: LanguageStats::empty(crude_language()),
             pending: 0,
             report: OnlineReport::default(),
         })
     }
 
-    /// Creates a learner pre-seeded with `corpus` (one absorb pass).
+    /// Creates a learner pre-seeded with `corpus` (one absorb).
     pub fn from_corpus(corpus: &Corpus, config: AutoDetectConfig) -> Result<Self, AdtError> {
         let mut learner = Self::new(config)?;
-        learner.absorb_columns(corpus.columns().to_vec())?;
+        learner.absorb_columns(corpus.columns().to_vec());
         Ok(learner)
     }
 
-    /// Total columns absorbed so far.
+    /// Columns retained for the next retrain: every column absorbed so
+    /// far, up to [`RESERVOIR_CAPACITY`].
     pub fn columns(&self) -> usize {
-        self.corpus.len()
+        self.reservoir.items().len()
     }
 
     /// Columns absorbed since the last [`Self::retrain`].
@@ -146,151 +145,37 @@ impl OnlineLearner {
         &self.config
     }
 
-    /// Absorbs a batch of new columns into every accumulator.
-    ///
-    /// One pipeline pass over the delta covers all candidate
-    /// languages plus crude `G`, so the delta is interned and generalized
-    /// once, not once per language. Cost scales with the delta, never
-    /// with the accumulated corpus. In [`CoocMode::Streaming`] the
-    /// candidate pass streams into pinned-geometry sketches while crude
-    /// `G` takes a second, exact pass over the delta — sampling needs
-    /// exact crude counts, and mixing backends in one pass would make
-    /// the fold's merge reject.
-    pub fn absorb_columns(&mut self, columns: Vec<Column>) -> Result<(), AdtError> {
+    /// Offers a batch of new columns to the reservoir, in order. No
+    /// statistics are built until [`Self::retrain`].
+    pub fn absorb_columns(&mut self, columns: Vec<Column>) {
         if columns.is_empty() {
-            return Ok(());
+            return;
         }
         let added = columns.len() as u64;
-        let delta = Corpus::from_columns(columns);
-        let opts = PipelineOptions {
-            pinned: true,
-            ..self.config.train_pipeline_options()
-        };
-        let stats = &self.config.stats;
-        if self.config.cooc == CoocMode::Streaming {
-            let mut targets: Vec<&mut LanguageStats> = self.accumulators.iter_mut().collect();
-            let pass = absorb_pass(&mut targets, &self.languages, &delta, stats, &opts)?;
-            self.report.pipeline.absorb(&pass);
-            let crude_opts = PipelineOptions {
-                cooc: CoocMode::Deferred,
-                ..opts
-            };
-            let mut crude_target = [&mut self.crude];
-            let crude_pass = absorb_pass(
-                &mut crude_target,
-                &[crude_language()],
-                &delta,
-                stats,
-                &crude_opts,
-            )?;
-            self.report.pipeline.absorb(&crude_pass);
-        } else {
-            // Candidates first, crude last — the fold pairs stats with
-            // accumulators by arrival index.
-            let mut scan_languages = self.languages.clone();
-            scan_languages.push(crude_language());
-            let mut targets: Vec<&mut LanguageStats> = self.accumulators.iter_mut().collect();
-            targets.push(&mut self.crude);
-            let pass = absorb_pass(&mut targets, &scan_languages, &delta, stats, &opts)?;
-            self.report.pipeline.absorb(&pass);
+        for column in columns {
+            self.reservoir.offer(column);
         }
-        self.corpus.extend_from(delta);
         self.pending += added;
         self.report.absorbs += 1;
         self.report.columns_absorbed += added;
-        Ok(())
     }
 
-    /// Re-runs calibration, selection, and assembly over everything
-    /// absorbed so far, without re-scanning the corpus for statistics.
-    ///
-    /// Byte-identical (under [`crate::model::codec`]) to
-    /// [`crate::model::train`] on the same columns in arrival order. The
-    /// report's pipeline counters cover the absorb passes (the learner's
-    /// only corpus scans) rather than the offline path's calibration and
-    /// assembly scans.
+    /// Trains on the retained columns in arrival order: exactly
+    /// [`crate::model::train`] on them, report included.
     pub fn retrain(&mut self) -> Result<(AutoDetect, TrainReport), AdtError> {
-        let training = build_training_set_with_crude(&self.corpus, &self.config, &self.crude);
-        let interned = InternedTrainingSet::new(&training);
-
-        // Phase 1 without the corpus scan: score and calibrate each
-        // candidate from its accumulator.
-        let pool: Vec<CalibratedCandidate> = parallel_map(
-            &self.accumulators,
-            self.config.effective_train_threads(),
-            "online-calibrate",
-            |_, stats| {
-                let scores = interned.scores(stats, self.config.npmi);
-                let calibration =
-                    calibrate_language(&training, &scores, self.config.precision_target, 256);
-                CalibratedCandidate {
-                    language: stats.language,
-                    size_bytes: stats.size_bytes(),
-                    calibration,
-                }
-            },
-        )?;
-
-        // Phases 2–3: selection, then assembly from copies of the
-        // selected accumulators in pick order (where the offline path
-        // re-scans the corpus).
-        let selection = greedy_select(&summarize_pool(&pool), self.config.memory_budget);
-        let mut rebuilt = Vec::with_capacity(selection.selected.len());
-        for &i in &selection.selected {
-            let acc = self
-                .accumulators
-                .get(i)
-                .ok_or(AdtError::Worker("online-retrain"))?;
-            rebuilt.push(acc.clone());
-        }
-        let out = assemble_model(
-            &self.config,
-            &training,
-            &pool,
-            selection,
-            rebuilt,
-            self.report.pipeline,
-        )?;
+        let corpus = Corpus::from_columns(self.reservoir.items().to_vec());
+        let out = train(&corpus, &self.config)?;
         self.pending = 0;
         self.report.retrains += 1;
         Ok(out)
     }
 }
 
-/// One pipeline pass over `delta`, merging each produced
-/// [`LanguageStats`] into the like-indexed target. A merge rejection
-/// (language or backend mismatch) aborts with [`AdtError::Worker`]
-/// before the caller can absorb a half-merged delta into the canonical
-/// corpus; with aligned construction it is unreachable.
-fn absorb_pass(
-    targets: &mut [&mut LanguageStats],
-    scan_languages: &[Language],
-    delta: &Corpus,
-    stats_config: &StatsConfig,
-    opts: &PipelineOptions,
-) -> Result<PipelineReport, AdtError> {
-    let mut idx = 0usize;
-    let mut merge_error: Option<&'static str> = None;
-    let pass = build_stats_for_languages(scan_languages, delta, stats_config, opts, |stats| {
-        if let Some(target) = targets.get_mut(idx) {
-            if let Err(e) = target.merge_from(&stats) {
-                merge_error.get_or_insert(e);
-            }
-        }
-        idx += 1;
-    })
-    .map_err(pipeline_error)?;
-    if let Some(e) = merge_error {
-        return Err(AdtError::Worker(e));
-    }
-    Ok(pass)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{codec, model_digest, train};
-    use adt_corpus::{generate_corpus, CorpusProfile};
+    use crate::model::codec;
+    use adt_corpus::{generate_corpus, CorpusProfile, SourceTag};
 
     fn quick_config() -> AutoDetectConfig {
         AutoDetectConfig {
@@ -311,10 +196,18 @@ mod tests {
         buf
     }
 
-    /// The satellite differential: absorb(base, delta) + retrain is
-    /// bit-identical to a from-scratch train on base ++ delta, at every
-    /// thread count. The absorb itself is split in two to also cover
-    /// merge associativity.
+    /// A one-value column whose value names its arrival index.
+    fn numbered(i: usize) -> Column {
+        Column::from_strs(&[&format!("c{i}")], SourceTag::Web)
+    }
+
+    /// The arrival index a [`numbered`] column carries.
+    fn arrival(c: &Column) -> usize {
+        c.values[0][1..].parse().expect("numbered column")
+    }
+
+    /// absorb(base, delta) + retrain is bit-identical to a from-scratch
+    /// train on base ++ delta, at every thread count.
     fn assert_absorb_matches_scratch(base_cfg: AutoDetectConfig) {
         let corpus = quick_corpus(500);
         let split = 350;
@@ -328,13 +221,14 @@ mod tests {
             };
             let (scratch, _) = train(&corpus, &cfg).unwrap();
             let scratch_bytes = model_bytes(&scratch);
+            let candidates = cfg.candidate_languages().len();
             let mut learner = OnlineLearner::new(cfg).unwrap();
-            learner.absorb_columns(base.clone()).unwrap();
-            learner.absorb_columns(delta.clone()).unwrap();
+            learner.absorb_columns(base.clone());
+            learner.absorb_columns(delta.clone());
             assert_eq!(learner.pending_columns(), corpus.len() as u64);
             let (online, report) = learner.retrain().unwrap();
             assert_eq!(learner.pending_columns(), 0);
-            assert_eq!(report.candidates.len(), learner.languages.len());
+            assert_eq!(report.candidates.len(), candidates);
             assert_eq!(
                 scratch_bytes,
                 model_bytes(&online),
@@ -364,6 +258,14 @@ mod tests {
     }
 
     #[test]
+    fn absorb_bit_identical_streaming() {
+        assert_absorb_matches_scratch(AutoDetectConfig {
+            cooc: adt_stats::CoocMode::Streaming,
+            ..quick_config()
+        });
+    }
+
+    #[test]
     fn repeated_retrains_track_the_growing_union() {
         let corpus = quick_corpus(500);
         let cfg = quick_config();
@@ -376,7 +278,7 @@ mod tests {
         let (scratch_first, _) = train(&Corpus::from_columns(base), &cfg).unwrap();
         assert_eq!(model_bytes(&first), model_bytes(&scratch_first));
 
-        learner.absorb_columns(delta).unwrap();
+        learner.absorb_columns(delta);
         let (second, _) = learner.retrain().unwrap();
         let (scratch_second, _) = train(&corpus, &cfg).unwrap();
         assert_eq!(model_bytes(&second), model_bytes(&scratch_second));
@@ -384,89 +286,72 @@ mod tests {
         assert_eq!(learner.report().columns_absorbed, corpus.len() as u64);
     }
 
-    /// Streaming accumulators: absorbs merge cell-wise into pinned
-    /// sketches, survive an interleaved retrain, and the resulting model
-    /// is invariant to the absorb split and the thread count. (Byte
-    /// identity with a scratch `train` is *not* expected — offline
-    /// auto-sizing picks different widths than the pinned geometry.)
+    /// Past capacity the learner retains at most `RESERVOIR_CAPACITY`
+    /// columns, in strictly increasing arrival order, and still counts
+    /// every column it absorbed.
     #[test]
-    fn streaming_absorb_is_split_and_thread_invariant_across_retrains() {
-        let corpus = quick_corpus(400);
-        let split = 250;
-        let base = corpus.columns()[..split].to_vec();
-        let delta = corpus.columns()[split..].to_vec();
-        let mut reference: Option<Vec<u8>> = None;
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = AutoDetectConfig {
-                cooc: adt_stats::CoocMode::Streaming,
-                train_threads: threads,
-                ..quick_config()
-            };
-            cfg.validate().unwrap();
-
-            // Whole-corpus absorb in one batch.
-            let mut whole = OnlineLearner::new(cfg.clone()).unwrap();
-            whole.absorb_columns(corpus.columns().to_vec()).unwrap();
-            let (whole_model, _) = whole.retrain().unwrap();
-
-            // Split absorb with a retrain *between* the halves: the
-            // accumulators must carry through it untouched.
-            let mut stepped = OnlineLearner::new(cfg).unwrap();
-            stepped.absorb_columns(base.clone()).unwrap();
-            let (_, mid_report) = stepped.retrain().unwrap();
-            assert_eq!(mid_report.candidates.len(), stepped.languages.len());
-            stepped.absorb_columns(delta.clone()).unwrap();
-            let (stepped_model, report) = stepped.retrain().unwrap();
-            assert_eq!(stepped.report().retrains, 2);
-            // Both absorb passes ran in streaming mode (crude's exact
-            // pass is counted too, so languages > candidates).
-            assert!(report.pipeline.streaming_languages >= stepped.languages.len() as u64);
-            assert!(report.pipeline.sketch_bytes > 0);
-
-            let bytes = model_bytes(&whole_model);
-            assert_eq!(
-                bytes,
-                model_bytes(&stepped_model),
-                "split absorb diverged from whole absorb at {threads} threads"
-            );
-            match &reference {
-                Some(r) => assert_eq!(r, &bytes, "thread variance at {threads}"),
-                None => reference = Some(bytes),
-            }
+    fn reservoir_stays_bounded_past_capacity() {
+        let total = 3 * RESERVOIR_CAPACITY + 17;
+        let mut learner = OnlineLearner::new(quick_config()).unwrap();
+        let columns: Vec<Column> = (0..total).map(numbered).collect();
+        for batch in columns.chunks(1_000) {
+            learner.absorb_columns(batch.to_vec());
+            assert!(learner.columns() <= RESERVOIR_CAPACITY);
         }
+        assert_eq!(learner.columns(), RESERVOIR_CAPACITY);
+        assert_eq!(learner.report().columns_absorbed, total as u64);
+        assert_eq!(learner.pending_columns(), total as u64);
+        let kept: Vec<usize> = learner.reservoir.items().iter().map(arrival).collect();
+        assert!(kept.windows(2).all(|w| w[0] < w[1]), "not in arrival order");
+        // Algorithm R keeps each arrival with probability K / n, so a
+        // uniform sample reaches well past the first K arrivals.
+        assert!(kept.iter().filter(|&&i| i >= RESERVOIR_CAPACITY).count() > RESERVOIR_CAPACITY / 2);
     }
 
-    /// Golden digest of the streaming learner's model after
-    /// absorb → retrain → absorb → retrain, recorded before the streaming
-    /// geometry knobs became constants: the pinned geometry, the
-    /// cell-wise merges and the crude pass must reproduce it exactly.
+    /// A retrain after the reservoir overflowed is byte-identical to
+    /// `train` on exactly the retained columns.
     #[test]
-    fn streaming_learner_matches_golden_digest() {
-        let corpus = quick_corpus(400);
-        let cfg = AutoDetectConfig {
-            cooc: adt_stats::CoocMode::Streaming,
-            ..quick_config()
-        };
-        let mut learner = OnlineLearner::new(cfg).unwrap();
-        learner
-            .absorb_columns(corpus.columns()[..250].to_vec())
-            .unwrap();
-        let (mid, _) = learner.retrain().unwrap();
-        learner
-            .absorb_columns(corpus.columns()[250..].to_vec())
-            .unwrap();
-        let (last, _) = learner.retrain().unwrap();
-        assert_eq!(
-            (model_digest(&mid), model_digest(&last)),
-            (0x1278_5436_5d86_163d, 0x31dd_f70d_94cc_fda9),
-            "streaming learner drifted from the golden models"
-        );
+    fn retrain_past_capacity_matches_train_on_the_retained_columns() {
+        let cfg = quick_config();
+        let corpus = quick_corpus(RESERVOIR_CAPACITY + 300);
+        let mut learner = OnlineLearner::from_corpus(&corpus, cfg.clone()).unwrap();
+        assert_eq!(learner.columns(), RESERVOIR_CAPACITY);
+        let retained = Corpus::from_columns(learner.reservoir.items().to_vec());
+        let (online, _) = learner.retrain().unwrap();
+        let (scratch, _) = train(&retained, &cfg).unwrap();
+        assert_eq!(model_bytes(&online), model_bytes(&scratch));
+    }
+
+    adt_rng::properties! {
+        /// While the reservoir fills it keeps every arrival verbatim;
+        /// it never holds more than its capacity, keeps arrival order,
+        /// and draws the same sample from the same seed.
+        fn reservoir_fills_verbatim_stays_bounded_and_is_seeded(
+            g;
+            capacity in g.random_range(0usize..40),
+            arrivals in g.random_range(0usize..200),
+            seed in g.random::<u64>(),
+        ) {
+            let mut a = Reservoir::new(capacity, seed);
+            let mut b = Reservoir::new(capacity, seed);
+            for i in 0..arrivals {
+                a.offer(i);
+                b.offer(i);
+                assert!(a.items().len() <= capacity);
+                if i < capacity {
+                    assert_eq!(a.items(), (0..=i).collect::<Vec<_>>().as_slice());
+                }
+            }
+            assert_eq!(a.items().len(), arrivals.min(capacity));
+            assert!(a.items().windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(a.items(), b.items());
+        }
     }
 
     #[test]
     fn empty_learner_and_empty_batches_are_safe() {
         let mut learner = OnlineLearner::new(quick_config()).unwrap();
-        learner.absorb_columns(Vec::new()).unwrap();
+        learner.absorb_columns(Vec::new());
         assert_eq!(learner.columns(), 0);
         assert_eq!(learner.report().absorbs, 0);
         let (model, _) = learner.retrain().unwrap();

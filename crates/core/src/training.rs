@@ -104,30 +104,16 @@ struct CompatibleColumn<'c> {
 ///
 /// Also returns the crude-`G` statistics (reused by callers that need the
 /// same compatibility oracle, e.g. auto-evaluation test-case generation).
-pub fn build_training_set(
-    corpus: &Corpus,
-    config: &AutoDetectConfig,
-) -> (TrainingSet, LanguageStats) {
-    let crude = LanguageStats::build(crude_language(), corpus, &config.stats);
-    let set = build_training_set_with_crude(corpus, config, &crude);
-    (set, crude)
-}
-
-/// [`build_training_set`] against caller-provided crude statistics.
-///
-/// `crude` must equal `LanguageStats::build(crude_language(), corpus,
-/// &config.stats)` for the result to match [`build_training_set`] — the
-/// online learner maintains exactly that equality incrementally, which is
-/// what makes absorb-then-retrain byte-identical to a from-scratch train.
 ///
 /// Linear in the number of draws: pass 1 caches every compatible
 /// column's values and crude hashes, the sampling loops keep running
 /// example counts, and every score is an NPMI lookup on cached hashes.
-pub fn build_training_set_with_crude(
+pub fn build_training_set(
     corpus: &Corpus,
     config: &AutoDetectConfig,
-    crude: &LanguageStats,
-) -> TrainingSet {
+) -> (TrainingSet, LanguageStats) {
+    let crude_stats = LanguageStats::build(crude_language(), corpus, &config.stats);
+    let crude = &crude_stats;
     let params = config.npmi;
     let mut rng = StdRng::seed_from_u64(config.seed);
 
@@ -159,7 +145,7 @@ pub fn build_training_set_with_crude(
 
     let mut set = TrainingSet::default();
     if compatible.len() < 2 {
-        return set;
+        return (set, crude_stats);
     }
 
     let target = config.training_examples;
@@ -250,7 +236,7 @@ pub fn build_training_set_with_crude(
         }
     }
 
-    set
+    (set, crude_stats)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
-//! The online learning loop: a background learner thread that absorbs
-//! scanned/uploaded columns into an [`adt_core::OnlineLearner`] and
-//! periodically retrains, swapping the new model into the live
+//! The online learning loop: a background learner thread that offers
+//! scanned/uploaded columns to an [`adt_core::OnlineLearner`]'s bounded
+//! column reservoir and periodically retrains on it with the offline
+//! trainer, swapping the new model into the live
 //! [`crate::registry::ModelRegistry`] atomically.
 //!
 //! Data path:
@@ -8,8 +9,8 @@
 //! ```text
 //! POST /v1/learn ──┐
 //!                  ├─► bounded queue ──► adt-learner thread
-//! /v1/scan tap ────┘      (503 /             │ absorb per batch
-//!  ("learn": true)         best-effort)      │ retrain on threshold
+//! /v1/scan tap ────┘      (503 /             │ reservoir per batch
+//!  ("learn": true)         best-effort)      │ train on threshold
 //!                                            ▼
 //!                              save_model (temp + rename)
 //!                                            │
@@ -22,12 +23,16 @@
 //!   `/v1/learn` answers `503` and the scan tap drops the batch (counted
 //!   as `learn.dropped_columns`) — ingest never grows unbounded and
 //!   never blocks a request worker.
+//! - **Bounded learner.** The learner retains at most
+//!   [`adt_core::online::RESERVOIR_CAPACITY`] columns, a seeded uniform
+//!   sample of everything absorbed, so its memory and each retrain's
+//!   time stop growing once the reservoir is full.
 //! - **Atomic swap.** The retrained model is written with
 //!   [`adt_core::save_model`]'s temp-file + rename persistence to the
 //!   target model's own backing file, then the registry's fingerprint
 //!   reload installs it. Requests already holding the old `Arc` finish
 //!   on it; no response ever mixes generations mid-flight.
-//! - **Failure isolation.** An absorb, retrain, or save failure counts
+//! - **Failure isolation.** A retrain or save failure counts
 //!   `learn.errors` and the loop continues serving the previous
 //!   generation; a retrain that selects zero languages (too little data
 //!   yet) counts `learn.skipped` and is not swapped in.
@@ -59,12 +64,13 @@ pub struct LearnConfig {
     /// Bounded ingest queue depth, in batches (one `/v1/learn` request
     /// or one tapped scan = one batch).
     pub queue_capacity: usize,
-    /// Training configuration for the incremental retrains.
+    /// Training configuration for the retrains; its `seed` also seeds
+    /// the column reservoir.
     pub train: AutoDetectConfig,
     /// Columns the learner starts from — typically the corpus the
-    /// serving model was trained on, so the first retrain is an
-    /// incremental step rather than a cold start. Seed columns never
-    /// trigger a retrain by themselves.
+    /// serving model was trained on, so the first retrain builds on it
+    /// rather than on the new columns alone. They enter the reservoir
+    /// first, and never trigger a retrain by themselves.
     pub seed_corpus: Option<Corpus>,
 }
 
@@ -110,9 +116,7 @@ pub(crate) fn run_learner(
         }
     };
     if let Some(seed) = &config.seed_corpus {
-        if learner.absorb_columns(seed.columns().to_vec()).is_err() {
-            stats.learn_errors.fetch_add(1, Ordering::Relaxed);
-        }
+        learner.absorb_columns(seed.columns().to_vec());
     }
 
     // Wake at least this often so shutdown and the interval threshold
@@ -136,18 +140,12 @@ pub(crate) fn run_learner(
                     // adt-allow(determinism): learner scheduling only; absorbed results are wall-clock independent
                     oldest_pending = Instant::now();
                 }
-                match learner.absorb_columns(batch) {
-                    Ok(()) => {
-                        pending += n;
-                        stats.learn_absorbs.fetch_add(1, Ordering::Relaxed);
-                        stats
-                            .learn_pending_columns
-                            .store(pending, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        stats.learn_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                learner.absorb_columns(batch);
+                pending += n;
+                stats.learn_absorbs.fetch_add(1, Ordering::Relaxed);
+                stats
+                    .learn_pending_columns
+                    .store(pending, Ordering::Relaxed);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => disconnected = true,

@@ -24,9 +24,10 @@
 //!   drains in-flight work;
 //! - [`batch`] — micro-batching of concurrent requests into single
 //!   engine dispatches, byte-identical to unbatched scans;
-//! - [`learn`] — the online learning loop: a background learner absorbs
-//!   uploaded/tapped columns through a bounded queue, retrains
-//!   incrementally, and swaps the new model into the registry
+//! - [`learn`] — the online learning loop: a background learner keeps
+//!   a bounded sample of uploaded/tapped columns from a bounded queue,
+//!   retrains on it with the offline trainer, and swaps the new model
+//!   into the registry
 //!   atomically (`POST /v1/learn`, `"learn": true` on scans);
 //! - [`protocol`] / [`json`] / [`http`] — the wire: `POST /v1/scan`,
 //!   `POST /v1/learn`, `GET /v1/healthz`, `GET /v1/stats`,

@@ -107,15 +107,15 @@ pub struct ServerStats {
     pub learn_ingested_columns: AtomicU64,
     /// Columns dropped because the learn queue was full or closed.
     pub learn_dropped_columns: AtomicU64,
-    /// Batches the learner absorbed into its accumulators.
+    /// Batches the learner offered to its column reservoir.
     pub learn_absorbs: AtomicU64,
-    /// Incremental retrains completed.
+    /// Retrains completed.
     pub learn_retrains: AtomicU64,
     /// Retrained models swapped into the live registry.
     pub learn_swaps: AtomicU64,
     /// Retrains skipped because the model selected zero languages.
     pub learn_skipped: AtomicU64,
-    /// Learner failures (absorb, retrain, or persist); the previous
+    /// Learner failures (start, retrain, or persist); the previous
     /// generation keeps serving through every one of them.
     pub learn_errors: AtomicU64,
     /// Gauge: columns absorbed but not yet retrained on.

@@ -134,39 +134,6 @@ impl CountMinSketch {
         std::f64::consts::E / self.width as f64 * self.total as f64
     }
 
-    /// Merges another sketch into this one by cell-wise saturating
-    /// addition; the inserted-mass totals add. Both sketches must share
-    /// geometry, strategy, and hash family.
-    ///
-    /// For [`UpdateStrategy::Plain`] the merge is exact: plain updates are
-    /// commutative cell additions, so merging shard-local sketches equals
-    /// having streamed every key into one sketch. For
-    /// [`UpdateStrategy::Conservative`] the merged table upper-bounds (and
-    /// may exceed) the single-stream result — conservative updates are
-    /// order-dependent — but the never-undercount guarantee is preserved:
-    /// `min_i(a_i + b_i) >= min_i(a_i) + min_i(b_i) >= v_a(k) + v_b(k)`.
-    pub fn merge_from(&mut self, other: &CountMinSketch) -> Result<(), &'static str> {
-        if self.width != other.width || self.depth != other.depth {
-            return Err("sketch geometry mismatch");
-        }
-        if self.strategy != other.strategy {
-            return Err("sketch strategy mismatch");
-        }
-        if self
-            .hashers
-            .iter()
-            .zip(&other.hashers)
-            .any(|(a, b)| a.params() != b.params())
-        {
-            return Err("sketch hash family mismatch");
-        }
-        for (cell, &o) in self.table.iter_mut().zip(&other.table) {
-            *cell = cell.saturating_add(o);
-        }
-        self.total += other.total;
-        Ok(())
-    }
-
     /// Update strategy accessor (codec support).
     pub fn strategy(&self) -> UpdateStrategy {
         self.strategy
@@ -302,55 +269,6 @@ mod tests {
         // A key far outside the inserted range should estimate near zero.
         let est = cms.estimate(u64::MAX - 12345);
         assert!(est < 100, "unseen estimate {est}");
-    }
-
-    #[test]
-    fn merge_plain_is_exact() {
-        let mut whole = CountMinSketch::new(1024, 4, UpdateStrategy::Plain, 7);
-        let mut a = CountMinSketch::new(1024, 4, UpdateStrategy::Plain, 7);
-        let mut b = CountMinSketch::new(1024, 4, UpdateStrategy::Plain, 7);
-        for k in 0..500u64 {
-            whole.add(k, (k % 7 + 1) as u32);
-            if k % 2 == 0 {
-                a.add(k, (k % 7 + 1) as u32);
-            } else {
-                b.add(k, (k % 7 + 1) as u32);
-            }
-        }
-        a.merge_from(&b).unwrap();
-        assert_eq!(a.total(), whole.total());
-        assert_eq!(a.table(), whole.table());
-    }
-
-    #[test]
-    fn merge_conservative_never_undercounts() {
-        let mut a = CountMinSketch::new(64, 4, UpdateStrategy::Conservative, 7);
-        let mut b = CountMinSketch::new(64, 4, UpdateStrategy::Conservative, 7);
-        let mut exact: HashMap<u64, u64> = HashMap::new();
-        for k in 0..300u64 {
-            let v = (k % 5 + 1) as u32;
-            *exact.entry(k % 40).or_default() += v as u64;
-            if k % 2 == 0 {
-                a.add(k % 40, v);
-            } else {
-                b.add(k % 40, v);
-            }
-        }
-        a.merge_from(&b).unwrap();
-        for (&k, &v) in &exact {
-            assert!(a.estimate(k) >= v, "undercount for {k}");
-        }
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_sketches() {
-        let mut a = CountMinSketch::new(64, 4, UpdateStrategy::Plain, 7);
-        let wrong_width = CountMinSketch::new(32, 4, UpdateStrategy::Plain, 7);
-        let wrong_strategy = CountMinSketch::new(64, 4, UpdateStrategy::Conservative, 7);
-        let wrong_seed = CountMinSketch::new(64, 4, UpdateStrategy::Plain, 8);
-        assert!(a.merge_from(&wrong_width).is_err());
-        assert!(a.merge_from(&wrong_strategy).is_err());
-        assert!(a.merge_from(&wrong_seed).is_err());
     }
 
     #[test]

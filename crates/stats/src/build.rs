@@ -5,9 +5,11 @@
 //! (plus any probe values) is interned once, every interned value is
 //! generalized under a whole batch of languages in one character
 //! traversal, and each language accumulates over every column and is
-//! consumed on its own task. Results are bit-identical to the
-//! per-language serial scan ([`LanguageStats::build`]) at any thread
-//! count; the old language-major fan-out survives as
+//! consumed on its own task. Training's calibration and assembly
+//! passes both run through [`for_each_language_stats`]. Results are
+//! bit-identical to the per-language serial scan
+//! ([`LanguageStats::build`]) at any thread count; the old
+//! language-major fan-out survives as
 //! [`collect_stats_reference`] behind `cfg(test)` for differential
 //! tests.
 
@@ -39,33 +41,6 @@ where
     let mut pipe = TrainPipeline::new(corpus, probes, opts)?;
     let out = pipe.run(languages, config, f)?;
     Ok((out, *pipe.report()))
-}
-
-/// Builds statistics for every language, folding each completed
-/// [`LanguageStats`] serially on the calling thread in input-language
-/// order. Memory stays bounded by the pipeline's language batch size:
-/// each batch is built, folded, and dropped before the next starts.
-/// `opts` carries the thread count and the co-occurrence mode — the
-/// online learner's pinned streaming passes run through here.
-pub fn build_stats_for_languages<F>(
-    languages: &[Language],
-    corpus: &Corpus,
-    config: &StatsConfig,
-    opts: &PipelineOptions,
-    mut fold: F,
-) -> Result<PipelineReport, StatsError>
-where
-    F: FnMut(LanguageStats),
-{
-    let mut pipe = TrainPipeline::new(corpus, &[], opts)?;
-    let batch_size = pipe.lang_batch();
-    for (bi, batch) in languages.chunks(batch_size).enumerate() {
-        let stats = pipe.run_batch(bi * batch_size, batch, config, &|_, s, _| s)?;
-        for s in stats {
-            fold(s);
-        }
-    }
-    Ok(*pipe.report())
 }
 
 /// Convenience: builds and collects statistics for all languages in
@@ -167,25 +142,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn fold_sees_every_language_in_order() {
-        let corpus = small_corpus();
-        let langs = enumerate_coarse_languages();
-        let mut seen = Vec::new();
-        let opts = PipelineOptions {
-            threads: 3,
-            ..PipelineOptions::default()
-        };
-        let report =
-            build_stats_for_languages(&langs, &corpus, &StatsConfig::default(), &opts, |s| {
-                seen.push(s.language)
-            })
-            .unwrap();
-        assert_eq!(seen, langs);
-        assert_eq!(report.languages, langs.len() as u64);
-        assert_eq!(report.columns, corpus.len() as u64);
     }
 
     #[test]

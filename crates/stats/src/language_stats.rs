@@ -149,23 +149,6 @@ impl LanguageStats {
         self.cooc.reserve(pairs);
     }
 
-    /// Merges statistics accumulated over a disjoint column shard of the
-    /// same corpus (same language, same backend kind): column counts and
-    /// occ/cooc entries add. Exact backends merge exactly, so splitting a
-    /// corpus into shards, absorbing each, and merging equals one
-    /// sequential scan — the primitive behind incremental corpus
-    /// absorption (the online learner's delta passes).
-    pub fn merge_from(&mut self, other: &LanguageStats) -> Result<(), &'static str> {
-        if self.language != other.language {
-            return Err("language mismatch");
-        }
-        self.n_columns += other.n_columns;
-        for (&k, &v) in other.occ.iter() {
-            *self.occ.entry(k).or_insert(0) += v;
-        }
-        self.cooc.merge_from(&other.cooc)
-    }
-
     /// `c(p)` for a pattern hash.
     pub fn occurrence(&self, p: PatternHash) -> u64 {
         self.occ.get(&p.0).copied().unwrap_or(0) as u64
@@ -557,47 +540,6 @@ mod tests {
         let p2 = batch.pattern_of("1,000");
         assert_eq!(inc.occurrence(p1), batch.occurrence(p1));
         assert_eq!(inc.cooccurrence(p1, p2), batch.cooccurrence(p1, p2));
-    }
-
-    /// Mismatched accumulators are rejected by `merge_from` — the path
-    /// the online learner merges each delta pass through — with the
-    /// detail string from `LanguageStats::merge_from` /
-    /// `CoocBackend::merge_from` / `CountMinSketch::merge_from`.
-    #[test]
-    fn merge_mismatches_are_typed_errors() {
-        use adt_sketch::{CountMinSketch, UpdateStrategy};
-        let l1 = Language::paper_l1();
-        let l2 = Language::paper_l2();
-        let exact = LanguageStats::empty;
-        let sketch = |l, width, seed, strategy| {
-            let cms = CountMinSketch::new(width, 4, strategy, seed);
-            LanguageStats::from_parts(l, 0, FxHashMap::default(), CoocBackend::Sketch(cms))
-        };
-        let stream_acc = |l, width, seed| sketch(l, width, seed, UpdateStrategy::Plain);
-
-        // Language mismatch.
-        let err = exact(l1).merge_from(&exact(l2)).unwrap_err();
-        assert_eq!(err, "language mismatch");
-
-        // Mixed backend kinds (exact vs sketch).
-        let err = exact(l1).merge_from(&stream_acc(l1, 64, 7)).unwrap_err();
-        assert_eq!(err, "co-occurrence backend kind mismatch");
-
-        // Geometry, hash-family, and strategy mismatches propagate up
-        // from the sketch layer.
-        let err = stream_acc(l1, 64, 7)
-            .merge_from(&stream_acc(l1, 32, 7))
-            .unwrap_err();
-        assert_eq!(err, "sketch geometry mismatch");
-
-        let err = stream_acc(l1, 64, 7)
-            .merge_from(&stream_acc(l1, 64, 8))
-            .unwrap_err();
-        assert_eq!(err, "sketch hash family mismatch");
-
-        let conservative = sketch(l1, 64, 7, UpdateStrategy::Conservative);
-        let err = stream_acc(l1, 64, 7).merge_from(&conservative).unwrap_err();
-        assert_eq!(err, "sketch strategy mismatch");
     }
 
     #[test]

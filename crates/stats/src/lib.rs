@@ -15,11 +15,10 @@
 //!   in column order, with no merge (bit-identical to the serial scan);
 //! * [`streaming`] — the opt-in bounded-memory co-occurrence mode:
 //!   each language's task streams pair counts into a count-min
-//!   accumulator auto-sized from observed pattern distributions, or
-//!   pinned to one geometry for the online learner. The sketch geometry
-//!   (depth, hash seed, target `ε`, width clamp) is fixed there and
-//!   nowhere else; the only co-occurrence choices callers make are
-//!   [`CoocMode`] and [`PipelineOptions::pinned`];
+//!   accumulator auto-sized from observed pattern distributions. The
+//!   sketch geometry (depth, hash seed, target `ε`, width clamp) is
+//!   fixed there and nowhere else; the only co-occurrence choice callers
+//!   make is [`CoocMode`];
 //! * [`build`] — batch construction entry points across candidate
 //!   languages, built on the pipeline;
 //! * [`fxhash`] — the vendored deterministic fast hasher keying the
@@ -39,7 +38,7 @@ pub mod profile;
 pub mod store;
 pub mod streaming;
 
-pub use build::{build_stats_for_languages, collect_stats_for_languages, for_each_language_stats};
+pub use build::{collect_stats_for_languages, for_each_language_stats};
 pub use fxhash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use language_stats::{LanguageStats, NpmiMatrix, StatsConfig};
 pub use memo::NpmiMemo;
@@ -47,4 +46,4 @@ pub use npmi::{npmi_from_counts, smoothed_cooccurrence, NpmiParams};
 pub use pipeline::{effective_threads, PipelineOptions, PipelineReport, StatsError, TrainPipeline};
 pub use profile::{column_profile, ColumnProfile, PatternBucket};
 pub use store::{CoocBackend, SketchSpec};
-pub use streaming::{pinned_accumulator, CoocMode};
+pub use streaming::CoocMode;

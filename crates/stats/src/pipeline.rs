@@ -45,8 +45,8 @@
 //! The opt-in streaming mode ([`CoocMode::Streaming`]) additionally
 //! bounds the *co-occurrence* footprint: each language accumulates
 //! straight into a count-min sketch auto-sized from the observed
-//! pattern distributions, or pinned to one geometry (see
-//! [`crate::streaming`]), never materializing the exact pair table.
+//! pattern distributions (see [`crate::streaming`]), never
+//! materializing the exact pair table.
 //! Each sketch, too, sees its columns in the same order at any thread
 //! count, so the byte-identity guarantee holds there as well.
 
@@ -81,11 +81,6 @@ pub struct PipelineOptions {
     /// per-language count-min sketches. Results stay
     /// thread-count-independent in either mode.
     pub cooc: CoocMode,
-    /// Streaming only: give every language the pinned geometry of
-    /// [`crate::pinned_accumulator`] instead of auto-sizing per batch.
-    /// The online learner sets this so every delta pass merges
-    /// cell-wise into its long-lived accumulators.
-    pub pinned: bool,
 }
 
 impl Default for PipelineOptions {
@@ -94,7 +89,6 @@ impl Default for PipelineOptions {
             threads: 0,
             lang_batch: 12,
             cooc: CoocMode::default(),
-            pinned: false,
         }
     }
 }
@@ -202,18 +196,19 @@ fn nonzero_min_f64(a: f64, b: f64) -> f64 {
 }
 
 impl PipelineReport {
-    /// Folds another report's counters into this one (for combining the
-    /// reports of successive pipeline runs, e.g. selection then final
-    /// model assembly). Counts add saturating — a report must never wrap
-    /// into nonsense on pathological inputs; `threads`, the peak, and
-    /// the max-bounds take the maximum, the `_min` fields the smallest
-    /// nonzero value (`0` means "never ran").
+    /// Folds the report of another pipeline run over the same corpus into
+    /// this one (training's calibration and assembly passes). The corpus
+    /// counts `columns`, `value_occurrences` and `interned_values`
+    /// describe that one corpus, so they take the larger side (equal for
+    /// two runs over it; a default report takes the other's) rather than
+    /// counting it twice. Work counters add saturating — a report must
+    /// never wrap into nonsense on pathological inputs; `threads`, the
+    /// peak, and the max-bounds take the maximum, the `_min` fields the
+    /// smallest nonzero value (`0` means "never ran").
     pub fn absorb(&mut self, other: &PipelineReport) {
-        self.columns = self.columns.saturating_add(other.columns);
-        self.value_occurrences = self
-            .value_occurrences
-            .saturating_add(other.value_occurrences);
-        self.interned_values = self.interned_values.saturating_add(other.interned_values);
+        self.columns = self.columns.max(other.columns);
+        self.value_occurrences = self.value_occurrences.max(other.value_occurrences);
+        self.interned_values = self.interned_values.max(other.interned_values);
         self.languages = self.languages.saturating_add(other.languages);
         self.batches = self.batches.saturating_add(other.batches);
         self.threads = self.threads.max(other.threads);
@@ -277,7 +272,6 @@ pub struct TrainPipeline<'c> {
     threads: usize,
     lang_batch: usize,
     cooc: CoocMode,
-    pinned: bool,
     /// Interned values: the corpus-wide distinct non-empty values first,
     /// then the probe values no column holds.
     values: Vec<&'c str>,
@@ -352,7 +346,6 @@ impl<'c> TrainPipeline<'c> {
             threads,
             lang_batch: opts.lang_batch.max(1),
             cooc: opts.cooc,
-            pinned: opts.pinned,
             values,
             corpus_values,
             probe_ids,
@@ -471,9 +464,9 @@ impl<'c> TrainPipeline<'c> {
 
         // Streaming only: fix per-language sketch geometry from the
         // deterministic interned layout before any worker spawns. Plans
-        // depend only on the corpus rows of the matrix, the language, and
-        // the pinned switch — never on scheduling or probes — so streamed
-        // results stay byte-identical at any thread count and batch size.
+        // depend only on the corpus rows of the matrix and the language —
+        // never on scheduling or probes — so streamed results stay
+        // byte-identical at any thread count and batch size.
         let plan = match self.cooc {
             CoocMode::Streaming => Some(streaming::plan_batch(
                 batch,
@@ -482,7 +475,6 @@ impl<'c> TrainPipeline<'c> {
                 &self.col_offsets,
                 &self.col_ids,
                 config,
-                self.pinned,
             )),
             CoocMode::Deferred => None,
         };
@@ -1021,14 +1013,15 @@ mod tests {
             ..PipelineReport::default()
         };
         let b = PipelineReport {
-            columns: 5,
+            columns: 10,
             languages: 140,
             threads: 8,
             consume_nanos: 50,
             ..PipelineReport::default()
         };
         a.absorb(&b);
-        assert_eq!(a.columns, 15);
+        // Two passes over one 10-column corpus still describe 10 columns.
+        assert_eq!(a.columns, 10);
         assert_eq!(a.languages, 144);
         assert_eq!(a.threads, 8);
         assert_eq!(a.consume_nanos, 750);
@@ -1051,7 +1044,6 @@ mod tests {
                     threads,
                     lang_batch,
                     cooc: CoocMode::Streaming,
-                    ..PipelineOptions::default()
                 };
                 let mut pipe = TrainPipeline::new(&corpus, &[], &opts).unwrap();
                 let got = pipe.run(&langs, &config, |_, s, _| s).unwrap();
@@ -1219,7 +1211,7 @@ mod tests {
     #[test]
     fn report_absorb_saturates_and_merges_streaming_fields() {
         let mut a = PipelineReport {
-            columns: u64::MAX - 1,
+            languages: u64::MAX - 1,
             sketch_width_max: 128,
             sketch_depth: 4,
             peak_cooc_bytes: 10,
@@ -1228,7 +1220,7 @@ mod tests {
             ..PipelineReport::default()
         };
         let b = PipelineReport {
-            columns: 5,
+            languages: 5,
             streaming_languages: 3,
             sketch_width_min: 64,
             sketch_width_max: 96,
@@ -1241,7 +1233,7 @@ mod tests {
             ..PipelineReport::default()
         };
         a.absorb(&b);
-        assert_eq!(a.columns, u64::MAX, "adds saturate instead of wrapping");
+        assert_eq!(a.languages, u64::MAX, "adds saturate instead of wrapping");
         assert_eq!(a.streaming_languages, 3);
         assert_eq!(a.sketch_width_min, 64, "zero means unset");
         assert_eq!(a.sketch_width_max, 128);

@@ -120,9 +120,9 @@ impl CoocBackend {
     /// depends only on the map *contents* — never on hash-map iteration
     /// order. This matters for [`UpdateStrategy::Conservative`], whose
     /// updates are order-dependent: sorted replay makes sketch
-    /// finalization reproducible across builds, thread counts, and merge
-    /// schedules (each key's full mass arrives as one add, which also
-    /// gives conservative updates their tightest estimates).
+    /// finalization reproducible across builds and thread counts (each
+    /// key's full mass arrives as one add, which also gives conservative
+    /// updates their tightest estimates).
     pub fn to_sketch(&self, spec: SketchSpec) -> CoocBackend {
         match self {
             CoocBackend::Exact(map) => {
@@ -141,23 +141,6 @@ impl CoocBackend {
                 CoocBackend::Sketch(cms)
             }
             CoocBackend::Sketch(cms) => CoocBackend::Sketch(cms.clone()),
-        }
-    }
-
-    /// Merges another backend of the same kind into this one: exact maps
-    /// merge by keyed addition (exact, order-independent), sketches by
-    /// cell-wise addition (see [`CountMinSketch::merge_from`]). Mixed
-    /// kinds are an error.
-    pub fn merge_from(&mut self, other: &CoocBackend) -> Result<(), &'static str> {
-        match (self, other) {
-            (CoocBackend::Exact(into), CoocBackend::Exact(from)) => {
-                for (&k, &v) in from.iter() {
-                    *into.entry(k).or_insert(0) += v;
-                }
-                Ok(())
-            }
-            (CoocBackend::Sketch(into), CoocBackend::Sketch(from)) => into.merge_from(from),
-            _ => Err("co-occurrence backend kind mismatch"),
         }
     }
 }
@@ -236,30 +219,6 @@ mod tests {
             }
             _ => panic!("expected sketches"),
         }
-    }
-
-    #[test]
-    fn merge_exact_backends_adds_counts() {
-        let mut a = CoocBackend::exact();
-        let mut b = CoocBackend::exact();
-        a.add_pair(h(1), h(2), 2);
-        a.add_pair(h(1), h(3), 1);
-        b.add_pair(h(2), h(1), 5);
-        b.add_pair(h(4), h(5), 7);
-        a.merge_from(&b).unwrap();
-        assert_eq!(a.get(h(1), h(2)), 7);
-        assert_eq!(a.get(h(1), h(3)), 1);
-        assert_eq!(a.get(h(4), h(5)), 7);
-        assert_eq!(a.exact_entries(), Some(3));
-    }
-
-    #[test]
-    fn merge_mixed_backends_is_error() {
-        let mut a = CoocBackend::exact();
-        let b = CoocBackend::exact().to_sketch(SketchSpec::default());
-        assert!(a.merge_from(&b).is_err());
-        let mut c = CoocBackend::exact().to_sketch(SketchSpec::default());
-        assert!(c.merge_from(&CoocBackend::exact()).is_err());
     }
 
     #[test]

@@ -14,11 +14,8 @@
 //! Determinism: streaming sketches always use [`UpdateStrategy::Plain`].
 //! Plain updates are commutative, associative cell additions (saturating
 //! adds of non-negative counters), so a table is a pure function of the
-//! multiset of inserted pairs, and sketches of one geometry merge
-//! cell-wise via [`CountMinSketch::merge_from`] (the online learner
-//! folds its delta passes this way). Conservative updates are
-//! order-dependent and only safe in the sorted-replay compression of
-//! `sketch_fraction`.
+//! multiset of inserted pairs. Conservative updates are order-dependent
+//! and only safe in the sorted-replay compression of `sketch_fraction`.
 //!
 //! Geometry lives here and nowhere else: every sketch is `DEPTH` rows
 //! over one seeded hash family, with a per-language width. Auto-sizing
@@ -36,10 +33,7 @@
 //! memory than the table it replaces. Every input to the plan is a pure
 //! function of the interned corpus and the language, so plans (and
 //! therefore results) are identical at any thread count or language
-//! batch size. The online learner skips auto-sizing: a pinned pass
-//! gives every language the worst-case width, the geometry of
-//! [`pinned_accumulator`], so its deltas merge into long-lived
-//! accumulators across retrains.
+//! batch size.
 
 use crate::fxhash::FxHashMap;
 use crate::language_stats::{LanguageStats, StatsConfig};
@@ -56,10 +50,10 @@ pub enum CoocMode {
     /// replay); without it the model keeps exact counts.
     #[default]
     Deferred,
-    /// Shard workers accumulate straight into per-language count-min
-    /// sketches, auto-sized per batch (or pinned, for the online
-    /// learner); the exact pair table is never materialized. Peak memory
-    /// is O(width × depth) per language per worker at any corpus size.
+    /// Each language's task accumulates straight into a count-min
+    /// sketch, auto-sized per batch; the exact pair table is never
+    /// materialized. Peak memory is O(width × depth) per language per
+    /// worker at any corpus size.
     Streaming,
 }
 
@@ -83,21 +77,13 @@ pub(crate) struct StreamingPlan {
     /// Counter-row width per batch language.
     pub widths: Vec<usize>,
     /// Fitted power-law exponent per batch language (`0.0` when the
-    /// sample was too small to fit, or the width is pinned; the width
-    /// then uses the worst-case exponent `1`).
+    /// sample was too small to fit; the width then uses the worst-case
+    /// exponent `1`).
     pub alphas: Vec<f64>,
 }
 
 /// Columns sampled (deterministic stride) for the power-law fit.
 const MAX_SAMPLE_COLUMNS: usize = 128;
-
-/// The worst-case width `⌈e/ε⌉` — no corpus inspection, no power-law
-/// sharpening. The online learner pins every sketch to this width so
-/// that every delta batch shares one geometry for cell-wise merges
-/// across retrains.
-fn pinned_width() -> usize {
-    clamp_width((std::f64::consts::E / EPSILON).ceil())
-}
 
 /// Bytes of a `width × depth` u32 counter table.
 pub(crate) fn sketch_table_bytes(width: usize, depth: usize) -> usize {
@@ -118,17 +104,8 @@ pub(crate) fn accumulator(language: Language, width: usize) -> LanguageStats {
     LanguageStats::from_parts(language, 0, FxHashMap::default(), CoocBackend::Sketch(cms))
 }
 
-/// An empty streaming accumulator at the pinned geometry — the one
-/// every language of a pinned pipeline pass
-/// ([`crate::PipelineOptions::pinned`]) accumulates into, so the passes'
-/// results merge cell-wise into it. The online learner keeps one per
-/// candidate language across absorbs and retrains.
-pub fn pinned_accumulator(language: Language) -> LanguageStats {
-    accumulator(language, pinned_width())
-}
-
-/// Chooses per-language sketch widths for one language batch: the
-/// pinned width for every language when `pinned`, otherwise auto-sized.
+/// Chooses auto-sized per-language sketch widths for one language
+/// batch.
 ///
 /// `matrix` is the phase-2 generalization matrix (`n_values × k`
 /// row-major, `k = batch.len()`); `col_offsets`/`col_ids` are the
@@ -142,15 +119,8 @@ pub(crate) fn plan_batch(
     col_offsets: &[usize],
     col_ids: &[u32],
     config: &StatsConfig,
-    pinned: bool,
 ) -> StreamingPlan {
     let k = batch.len();
-    if pinned {
-        return StreamingPlan {
-            widths: vec![pinned_width(); k],
-            alphas: vec![0.0; k],
-        };
-    }
     // Upper bound on insertable pair mass, from column sizes alone: a
     // column with d distinct values contributes at most C(min(d, cap), 2)
     // pairs under any language (generalization only collapses values).
@@ -256,25 +226,9 @@ mod tests {
     use adt_patterns::enumerate_coarse_languages;
 
     #[test]
-    fn pinned_width_is_the_worst_case() {
-        let expect = (std::f64::consts::E * 1024.0).ceil() as usize;
-        assert_eq!(pinned_width(), expect);
-        assert!((MIN_WIDTH..=MAX_WIDTH).contains(&expect));
-    }
-
-    #[test]
     fn table_bytes_saturate() {
         assert_eq!(sketch_table_bytes(8, 4), 128);
         assert_eq!(sketch_table_bytes(usize::MAX, 2), usize::MAX);
-    }
-
-    #[test]
-    fn pinned_plan_skips_sizing() {
-        let langs = enumerate_coarse_languages();
-        let batch = &langs[..3];
-        let plan = plan_batch(batch, &[], 0, &[0], &[], &StatsConfig::default(), true);
-        assert_eq!(plan.widths, vec![pinned_width(); 3]);
-        assert_eq!(plan.alphas, vec![0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -286,23 +240,14 @@ mod tests {
         assert_eq!(cms.strategy(), UpdateStrategy::Plain);
         assert_eq!(acc.n_columns, 0);
         assert_eq!(acc.distinct_patterns(), 0);
-
-        // The pinned accumulator shares the hash family, so the
-        // sketches of a pinned pass merge into it cell-wise.
-        let mut pinned = pinned_accumulator(adt_patterns::Language::leaf());
-        let shard = accumulator(adt_patterns::Language::leaf(), pinned_width());
-        assert_eq!(
-            pinned.cooc_sketch().map(|c| c.width()),
-            Some(pinned_width())
-        );
-        pinned.merge_from(&shard).unwrap();
     }
 
     #[test]
     fn auto_width_sharpens_with_alpha_and_caps_at_exact_footprint() {
-        // Worst case (no fit) on a huge table: full e/eps width.
+        // Worst case (no fit) on a huge table: the full ⌈e/ε⌉ width.
         let worst = auto_width(100_000, u64::MAX, None);
-        assert_eq!(worst, pinned_width());
+        assert_eq!(worst, (std::f64::consts::E * 1024.0).ceil() as usize);
+        assert!((MIN_WIDTH..=MAX_WIDTH).contains(&worst));
         // A steep power law shrinks the width.
         let sharp = auto_width(100_000, u64::MAX, Some(2.0));
         assert!(sharp < worst, "sharp {sharp} vs worst {worst}");
@@ -329,8 +274,8 @@ mod tests {
         let col_offsets = [0usize, 4, 8];
         let col_ids = [0u32, 1, 2, 3, 0, 1, 2, 3];
         let config = StatsConfig::default();
-        let a = plan_batch(batch, &matrix, 4, &col_offsets, &col_ids, &config, false);
-        let b = plan_batch(batch, &matrix, 4, &col_offsets, &col_ids, &config, false);
+        let a = plan_batch(batch, &matrix, 4, &col_offsets, &col_ids, &config);
+        let b = plan_batch(batch, &matrix, 4, &col_offsets, &col_ids, &config);
         assert_eq!(a.widths, b.widths);
         assert_eq!(a.alphas, b.alphas);
         assert!(a.widths.iter().all(|&w| w >= MIN_WIDTH));

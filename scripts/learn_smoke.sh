@@ -2,16 +2,17 @@
 # Online learning smoke test: train a tiny model with the real CLI, start
 # `autodetect serve --learn` with a low absorb threshold, stream columns
 # in through `query --learn` until the learner retrains and swaps, and
-# check the swap is visible as a generation bump with zero learn errors.
+# check the swap is visible as a generation bump and, in GET /v1/stats,
+# as `learn.swaps >= 1` with `learn.errors == 0`.
 #
 #   scripts/learn_smoke.sh path/to/autodetect [deferred|streaming]
 #
 # The optional second argument is the --cooc mode for both the seed
 # training and the learner (default deferred); streaming runs the
-# learner's pinned-geometry sketch accumulators end to end.
+# learner's retrains through streaming training inside serve.
 #
-# Exits non-zero if any step fails, if the learner never swaps, or if
-# the server does not exit cleanly after `stop`.
+# Exits non-zero if any step fails, if the learner never swaps or counts
+# an error, or if the server does not exit cleanly after `stop`.
 set -eu
 
 BIN=${1:?usage: learn_smoke.sh path/to/autodetect-binary [deferred|streaming]}
@@ -96,6 +97,22 @@ if [ "$SWAPPED" != "1" ]; then
     exit 1
 fi
 echo "== learn smoke: generation 2 is live"
+
+# The swap is counted in /v1/stats, and nothing in the learn loop failed.
+if ! python3 - "$ADDR" <<'EOF'
+import json, sys, urllib.request
+# Loopback only: ignore any proxy the environment names.
+opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+with opener.open("http://%s/v1/stats" % sys.argv[1], timeout=10) as r:
+    learn = json.load(r)["learn"]
+if learn.get("errors") != 0 or learn.get("swaps", 0) < 1:
+    sys.exit("learn smoke FAILED: /v1/stats learn section %r" % learn)
+print("== learn smoke: learn.swaps %d, learn.errors 0" % learn["swaps"])
+EOF
+then
+    cat "$WORK/serve.err" >&2
+    exit 1
+fi
 
 echo "== learn smoke: stopping server"
 "$BIN" stop --addr "$ADDR"

@@ -195,16 +195,14 @@ pair counts in the pipeline and the model, and streaming bounds peak
 training memory by accumulating straight into per-language count-min
 sketches auto-sized from the observed pattern distributions — for
 corpora whose exact pair tables would not fit in memory. With --learn,
---cooc streaming keeps
-the online learner's accumulators sketch-backed at a pinned geometry
-so absorbed deltas stay bounded too.
+--cooc picks the mode of the learner's retrains.
 
 `scan` audits every column of a delimited file through the parallel
 scan engine (--threads, default all cores) and prints ranked
 findings; --stream ingests the file with bounded memory instead of
 loading it whole. Findings are identical at any thread count and in
-either ingest mode. Model files ending in .bin use the compact binary
-codec; anything else is JSON.
+either ingest mode. Models use the binary model format whatever the
+file's extension.
 
 --detectors runs an ensemble instead of the single Auto-Detect engine:
 a comma-separated subset of autodetect, fregex, pwheel, dboost, linear,
@@ -223,14 +221,15 @@ server and prints findings in `scan`'s format; `stop` shuts a server
 down gracefully, draining in-flight requests.
 
 --learn turns on the online learning loop: the server also answers
-POST /v1/learn and absorbs uploaded columns into an incremental trainer,
-retraining once --learn-absorb columns arrived (default 256) or the
-oldest pending column is --learn-interval seconds old (default 60), then
-atomically swapping the new model over --learn-model (default: the
-registry default). Retrains use --space (default coarse for serve) and
+POST /v1/learn and keeps a seeded uniform sample of at most 4096 of the
+columns it receives, retraining on it with `train`'s trainer once
+--learn-absorb columns arrived (default 256) or the oldest pending
+column is --learn-interval seconds old (default 60), then atomically
+swapping the new model over --learn-model (default: the registry
+default). Retrains use --space (default coarse for serve) and
 --examples (default 4000); --learn-seed pre-loads the corpus the serving
-model was trained on so the first retrain is incremental, not a cold
-start. `query --learn` scans as usual and additionally feeds the
+model was trained on into the sample first, so the first retrain builds
+on it rather than on the new columns alone. `query --learn` scans as usual and additionally feeds the
 uploaded columns to the learner (best-effort; incompatible with
 --detectors). Progress is visible under `learn` in GET /v1/stats.";
 
