@@ -124,11 +124,13 @@ where
 ///
 /// Without a pool every engine run starts its workers cold: values are
 /// re-generalized and pattern-pair NPMI scores re-probed. A long-lived
-/// owner — the serve batcher holds one across dispatches — passes the
-/// pool via [`ScanEngine::with_cache_pool`] so each worker resumes some
-/// earlier worker's cache, amortizing both layers across runs. Caches
-/// are model-stamped (see [`PatternCache`]), so pooling across model
-/// swaps is safe: a mismatched cache resets itself.
+/// owner — the detection server holds one for its whole life and shares
+/// it with every HTTP worker — passes the pool via
+/// [`ScanEngine::with_cache_pool`] so each worker resumes some earlier
+/// worker's cache, amortizing both layers across runs. Concurrent scans
+/// each check out their own cache, so the pool holds about as many as
+/// ran at once. Caches are model-stamped (see [`PatternCache`]), so
+/// pooling across model swaps is safe: a mismatched cache resets itself.
 #[derive(Debug, Default)]
 pub struct CachePool {
     caches: Mutex<Vec<PatternCache>>,

@@ -10,10 +10,11 @@
 //! Architecture, one request's journey:
 //!
 //! ```text
-//! accept loop ──► bounded queue ──► worker pool ──► micro-batcher ──► ScanEngine
-//!   (503 when       (backpressure)   (HTTP parse,     (one engine       (parallel
-//!    queue full)                      route, panic     dispatch per      per-column
-//!                                     isolation)       drain & model)    scan)
+//! accept loop ──► bounded queue ──► worker pool ──────► ScanEngine
+//!   (503 when       (backpressure)   (HTTP parse,        (per-column scan
+//!    queue full)                      route, panic        on the worker,
+//!                                     isolation)          through the
+//!                                                         server's CachePool)
 //! ```
 //!
 //! - [`registry::ModelRegistry`] — named models from a directory, shared
@@ -21,9 +22,10 @@
 //!   in-flight requests;
 //! - [`server::Server`] — accept loop, bounded queue, worker pool,
 //!   per-request timeouts and panic isolation, graceful shutdown that
-//!   drains in-flight work;
-//! - [`batch`] — micro-batching of concurrent requests into single
-//!   engine dispatches, byte-identical to unbatched scans;
+//!   drains in-flight work. Each worker scans its own requests through
+//!   one [`adt_core::CachePool`] shared for the server's life, so
+//!   caches stay warm across requests and findings are byte-identical
+//!   to an in-process scan;
 //! - [`learn`] — the online learning loop: a background learner keeps
 //!   a bounded sample of uploaded/tapped columns from a bounded queue,
 //!   retrains on it with the offline trainer, and swaps the new model
@@ -32,8 +34,9 @@
 //! - [`protocol`] / [`json`] / [`http`] — the wire: `POST /v1/scan`,
 //!   `POST /v1/learn`, `GET /v1/healthz`, `GET /v1/stats`,
 //!   `GET /v1/models`, `POST /v1/shutdown`;
-//! - [`stats::ServerStats`] — cumulative counters with p50/p99 latency
-//!   and per-model hit counts;
+//! - [`stats::ServerStats`] — cumulative counters with p50/p99 latency,
+//!   the decode/scan/encode split of scan requests, and per-model hit
+//!   counts;
 //! - [`client::Client`] — the blocking client behind `autodetect query`.
 //!
 //! ```no_run
@@ -56,7 +59,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod batch;
 pub mod client;
 pub mod http;
 pub mod json;

@@ -20,7 +20,7 @@
 //! Response:
 //!
 //! ```json
-//! {"model": "prod", "generation": 1, "batched_with": 0,
+//! {"model": "prod", "generation": 1,
 //!  "findings": [{"column": 0, "header": "date", "suspect": "2011/01/02",
 //!                "witness": "2011-01-01", "confidence": 0.97, "score": -0.62}],
 //!  "columns": [{"index": 0, "header": "date", "values_scored": 2, "findings": 1}]}
@@ -40,7 +40,7 @@ pub struct ScanRequest {
     /// Columns to scan, in request order.
     pub columns: Vec<Column>,
     /// Detector set for an ensemble scan; `None` means the plain
-    /// single-model path through the micro-batcher.
+    /// single-model scan.
     pub detectors: Option<Vec<String>>,
     /// Merge policy spelling (`union`, `vote:k`, `calibrated`); only
     /// meaningful alongside `detectors`.
@@ -109,8 +109,6 @@ pub struct ScanResponse {
     pub model: String,
     /// Registry generation of that model (bumps on hot-reload).
     pub generation: u64,
-    /// How many *other* requests shared the engine dispatch with this one.
-    pub batched_with: usize,
     /// Ranked findings (confidence descending).
     pub findings: Vec<WireFinding>,
     /// Per-column outcomes in request order.
@@ -302,11 +300,10 @@ fn opt_str(v: Option<&Json>) -> Option<String> {
 pub fn scan_response_to_json(
     model: &str,
     generation: u64,
-    batched_with: usize,
     findings: &[TableFinding],
     columns: &[ColumnSummary],
 ) -> Json {
-    scan_response_to_json_full(model, generation, batched_with, findings, columns, None)
+    scan_response_to_json_full(model, generation, findings, columns, None)
 }
 
 /// Encodes a scan response, optionally with the ensemble section
@@ -314,7 +311,6 @@ pub fn scan_response_to_json(
 pub fn scan_response_to_json_full(
     model: &str,
     generation: u64,
-    batched_with: usize,
     findings: &[TableFinding],
     columns: &[ColumnSummary],
     ensemble: Option<(&str, &[DetectorLane])>,
@@ -356,7 +352,6 @@ pub fn scan_response_to_json_full(
     let mut members = vec![
         ("model", Json::str(model)),
         ("generation", Json::num(generation as f64)),
-        ("batched_with", Json::num(batched_with as f64)),
         ("findings", Json::Arr(findings)),
         ("columns", Json::Arr(columns)),
     ];
@@ -391,7 +386,6 @@ pub fn parse_scan_response(v: &Json) -> Result<ScanResponse, ProtocolError> {
         .ok_or_else(|| bad("\"model\" must be a string"))?
         .to_string();
     let generation = v.get("generation").and_then(Json::as_u64).unwrap_or(0);
-    let batched_with = v.get("batched_with").and_then(Json::as_u64).unwrap_or(0) as usize;
     let mut findings = Vec::new();
     for f in v
         .get("findings")
@@ -464,7 +458,6 @@ pub fn parse_scan_response(v: &Json) -> Result<ScanResponse, ProtocolError> {
     Ok(ScanResponse {
         model,
         generation,
-        batched_with,
         findings,
         columns,
         ensemble,
@@ -574,11 +567,10 @@ mod tests {
             values_scored: 2,
             num_findings: 1,
         }];
-        let json = scan_response_to_json("m", 3, 2, &findings, &columns);
+        let json = scan_response_to_json("m", 3, &findings, &columns);
         let back = parse_scan_response(&parse(&json.to_text()).unwrap()).unwrap();
         assert_eq!(back.model, "m");
         assert_eq!(back.generation, 3);
-        assert_eq!(back.batched_with, 2);
         assert_eq!(back.findings[0].suspect, "2011/01/02");
         assert_eq!(back.findings[0].confidence, 0.97);
         assert_eq!(back.columns[0].values_scored, 2);
@@ -601,7 +593,7 @@ mod tests {
                 columns: 2,
             },
         ];
-        let json = scan_response_to_json_full("m", 1, 0, &[], &[], Some(("vote:2", &lanes)));
+        let json = scan_response_to_json_full("m", 1, &[], &[], Some(("vote:2", &lanes)));
         let back = parse_scan_response(&parse(&json.to_text()).unwrap()).unwrap();
         let ens = back.ensemble.expect("ensemble section missing");
         assert_eq!(ens.merge, "vote:2");

@@ -1,6 +1,8 @@
 //! The detection server: a `TcpListener` accept loop feeding a bounded
 //! queue of connections into a pool of worker threads, which parse HTTP,
-//! route, and push scan work through the shared micro-batcher.
+//! route, and run each scan themselves. Every worker scans through one
+//! [`CachePool`] the server owns for its whole life, so pattern caches
+//! and memoized NPMI scores stay warm across requests and workers.
 //!
 //! Operational properties:
 //!
@@ -17,9 +19,8 @@
 //!   flips an atomic checked between accepts and wakes the acceptor with
 //!   a self-connection. The acceptor stops, queued connections drain,
 //!   in-flight requests complete and are answered, then workers and the
-//!   batcher exit and [`Server::run`] returns.
+//!   learner exit and [`Server::run`] returns.
 
-use crate::batch::{run_batcher, ScanJob};
 use crate::http::{read_request, write_response, HttpError, Request};
 use crate::json::{self, Json};
 use crate::learn::{self, LearnConfig};
@@ -27,12 +28,14 @@ use crate::protocol;
 use crate::registry::{ModelHandle, ModelRegistry};
 use crate::stats::ServerStats;
 use adt_core::ensemble::{EnsembleEngine, MergePolicy};
-use adt_core::{AdtError, ColumnFinding, ColumnSummary, DetectorSpec, TableFinding};
+use adt_core::{
+    AdtError, CachePool, ColumnFinding, ColumnSummary, DetectorSpec, ScanEngine, TableFinding,
+};
 use adt_corpus::Column;
 use std::io::{BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
@@ -45,7 +48,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// HTTP worker threads (0 = available cores).
     pub workers: usize,
-    /// Scan-engine threads per batch dispatch (0 = available cores).
+    /// Scan-engine threads per request. `0` gives each HTTP worker an
+    /// even share of the cores (`max(1, cores / workers)`), since every
+    /// worker may be scanning at once.
     pub engine_threads: usize,
     /// Bounded accept queue depth; beyond it connections get `503`.
     pub queue_capacity: usize,
@@ -54,8 +59,6 @@ pub struct ServeConfig {
     /// Socket read/write timeout — bounds how long a stalled peer can
     /// hold a worker (and how long shutdown waits on idle keep-alives).
     pub io_timeout: Duration,
-    /// Most requests merged into one micro-batch dispatch.
-    pub max_batch_jobs: usize,
     /// Online learning loop; `None` disables `POST /v1/learn` and the
     /// scan tap.
     pub learn: Option<LearnConfig>,
@@ -70,7 +73,6 @@ impl Default for ServeConfig {
             queue_capacity: 128,
             max_body_bytes: 8 << 20,
             io_timeout: Duration::from_secs(10),
-            max_batch_jobs: 32,
             learn: None,
         }
     }
@@ -108,6 +110,8 @@ pub struct Server {
     listener: TcpListener,
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    /// Caches every worker's scans check out and return.
+    cache_pool: Arc<CachePool>,
     /// Registry model the learn loop retrains, resolved and validated
     /// at bind time; `None` when learning is disabled.
     learn_target: Option<String>,
@@ -159,6 +163,7 @@ impl Server {
             listener,
             local_addr,
             shutdown: Arc::new(AtomicBool::new(false)),
+            cache_pool: CachePool::new(),
             learn_target,
         })
     }
@@ -203,33 +208,11 @@ impl Server {
         let workers = adt_core::resolve_threads(self.config.workers).max(1);
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(self.config.queue_capacity.max(1));
         let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let (job_tx, job_rx) = mpsc::channel::<ScanJob>();
-
-        let batcher = {
-            let stats = Arc::clone(&self.stats);
-            let engine_threads = self.config.engine_threads;
-            let max_jobs = self.config.max_batch_jobs;
-            thread::Builder::new()
-                .name("adt-batcher".into())
-                .spawn(move || {
-                    run_batcher(job_rx, engine_threads, max_jobs, |d| {
-                        stats.batches.fetch_add(d.dispatches, Ordering::Relaxed);
-                        stats
-                            .npmi_probes
-                            .fetch_add(d.npmi_probes, Ordering::Relaxed);
-                        stats
-                            .npmi_memo_hits
-                            .fetch_add(d.npmi_memo_hits, Ordering::Relaxed);
-                        stats
-                            .kernel_group_columns
-                            .fetch_add(d.kernel_group, Ordering::Relaxed);
-                        stats
-                            .kernel_direct_columns
-                            .fetch_add(d.kernel_direct, Ordering::Relaxed);
-                    })
-                })
-                .map_err(AdtError::Io)?
-        };
+        let engine_threads = engine_threads_per_scan(
+            self.config.engine_threads,
+            workers,
+            adt_core::resolve_threads(0),
+        );
 
         // The learn loop: a bounded ingest queue feeding one background
         // learner thread. Workers hold the only senders after spawn, so
@@ -257,11 +240,11 @@ impl Server {
                 conn_rx: Arc::clone(&conn_rx),
                 registry: Arc::clone(&self.registry),
                 stats: Arc::clone(&self.stats),
-                job_tx: job_tx.clone(),
+                cache_pool: Arc::clone(&self.cache_pool),
                 learn_tx: learn_tx.clone(),
                 handle: self.handle(),
                 max_body: self.config.max_body_bytes,
-                engine_threads: self.config.engine_threads,
+                engine_threads,
             };
             worker_joins.push(
                 thread::Builder::new()
@@ -270,10 +253,8 @@ impl Server {
                     .map_err(AdtError::Io)?,
             );
         }
-        // Workers own the only remaining job senders; when the last
-        // worker exits, the batcher's receiver disconnects and it stops.
-        // Same for the learn senders and the learner.
-        drop(job_tx);
+        // Workers own the only remaining learn senders; when the last
+        // worker exits, the learner's receiver disconnects and it stops.
         drop(learn_tx);
 
         // Accept loop: runs on the calling thread until shutdown.
@@ -314,9 +295,19 @@ impl Server {
             // adt-allow(error-path): learner failures are isolated into `learn.errors` while it runs; at drain only the join matters
             let _ = join.join();
         }
-        // adt-allow(error-path): batcher panics surface as failed dispatches per request; drain just waits
-        let _ = batcher.join();
         Ok(())
+    }
+}
+
+/// Engine threads per scan: `configured`, or for `0` an even share of
+/// `cores` over the `workers` that may all be scanning at once (at least
+/// one each), so a loaded server asks for about `cores` scan threads in
+/// total rather than `workers × cores`.
+fn engine_threads_per_scan(configured: usize, workers: usize, cores: usize) -> usize {
+    if configured > 0 {
+        configured
+    } else {
+        (cores / workers.max(1)).max(1)
     }
 }
 
@@ -366,11 +357,12 @@ struct WorkerCtx {
     conn_rx: Arc<Mutex<Receiver<TcpStream>>>,
     registry: Arc<ModelRegistry>,
     stats: Arc<ServerStats>,
-    job_tx: mpsc::Sender<ScanJob>,
+    cache_pool: Arc<CachePool>,
     /// Present on learn-enabled servers: the bounded ingest queue.
     learn_tx: Option<mpsc::SyncSender<Vec<Column>>>,
     handle: ServerHandle,
     max_body: usize,
+    /// Resolved by [`engine_threads_per_scan`]; never `0`.
     engine_threads: usize,
 }
 
@@ -432,10 +424,10 @@ fn serve_connection(ctx: &WorkerCtx, stream: TcpStream) {
             Ok(outcome) => outcome,
             Err(_) => {
                 ctx.stats.server_errors.fetch_add(1, Ordering::Relaxed);
-                (500, protocol::error_to_json("internal error"))
+                error(500, "internal error")
             }
         };
-        if write_response(&mut writer, status, &body.to_text(), keep_alive).is_err() {
+        if write_response(&mut writer, status, &body, keep_alive).is_err() {
             return;
         }
         if !keep_alive {
@@ -444,10 +436,36 @@ fn serve_connection(ctx: &WorkerCtx, stream: TcpStream) {
     }
 }
 
-/// Routes one request; returns `(status, body)`.
-fn route(ctx: &WorkerCtx, req: &Request) -> (u16, Json) {
+/// An error response: the status and its `{"error": ...}` body text.
+fn error(status: u16, message: &str) -> (u16, String) {
+    (status, protocol::error_to_json(message).to_text())
+}
+
+/// Routes one request; returns `(status, body text)`. Scans encode their
+/// own bodies, so the encode time lands in their phase counters.
+fn route(ctx: &WorkerCtx, req: &Request) -> (u16, String) {
     ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-    let outcome = match (req.method.as_str(), req.path.as_str()) {
+    let outcome = if (req.method.as_str(), req.path.as_str()) == ("POST", "/v1/scan") {
+        handle_scan(ctx, req)
+    } else {
+        let (status, body) = route_json(ctx, req);
+        (status, body.to_text())
+    };
+    match outcome.0 {
+        400..=499 => {
+            ctx.stats.client_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        500..=599 => {
+            ctx.stats.server_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        _ => {}
+    }
+    outcome
+}
+
+/// Every route but `POST /v1/scan`; returns `(status, body)`.
+fn route_json(ctx: &WorkerCtx, req: &Request) -> (u16, Json) {
+    match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/v1/healthz") => (
             200,
             Json::obj(vec![
@@ -488,7 +506,6 @@ fn route(ctx: &WorkerCtx, req: &Request) -> (u16, Json) {
                 .collect();
             (200, Json::obj(vec![("models", Json::Arr(rows))]))
         }
-        ("POST", "/v1/scan") => handle_scan(ctx, req),
         ("POST", "/v1/learn") => handle_learn(ctx, req),
         ("POST", "/v1/shutdown") => {
             ctx.handle.shutdown();
@@ -505,128 +522,141 @@ fn route(ctx: &WorkerCtx, req: &Request) -> (u16, Json) {
             404,
             protocol::error_to_json(&format!("no such route {path}")),
         ),
-    };
-    match outcome.0 {
-        400..=499 => {
-            ctx.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        500..=599 => {
-            ctx.stats.server_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        _ => {}
     }
-    outcome
 }
 
-fn handle_scan(ctx: &WorkerCtx, req: &Request) -> (u16, Json) {
-    // adt-allow(determinism): wall-clock feeds the latency histogram only, never scan results
+/// `POST /v1/scan`. The single-model path scans on this worker through
+/// the server's [`CachePool`] and times its decode, scan and encode
+/// phases; the ensemble path goes to [`handle_ensemble_scan`]. With
+/// `"learn": true` the columns move to the learner after a successful
+/// scan.
+fn handle_scan(ctx: &WorkerCtx, req: &Request) -> (u16, String) {
+    // adt-allow(determinism): wall-clock feeds the latency histogram and phase counters only, never scan results
     let start = Instant::now();
     let text = match std::str::from_utf8(&req.body) {
         Ok(t) => t,
-        Err(_) => return (400, protocol::error_to_json("body is not UTF-8")),
+        Err(_) => return error(400, "body is not UTF-8"),
     };
     let value = match json::parse(text) {
         Ok(v) => v,
-        Err(e) => return (400, protocol::error_to_json(&format!("invalid JSON: {e}"))),
+        Err(e) => return error(400, &format!("invalid JSON: {e}")),
     };
     let scan = match protocol::parse_scan_request(&value) {
         Ok(s) => s,
-        Err(e) => return (400, protocol::error_to_json(&e.to_string())),
+        Err(e) => return error(400, &e.to_string()),
     };
+    let decoded = start.elapsed();
     let name = match scan.model.or_else(|| ctx.registry.default_name()) {
         Some(n) => n,
         None => {
-            return (
+            return error(
                 400,
-                protocol::error_to_json(
-                    "multiple models are loaded and none is named \"default\"; \
-                     pass \"model\" in the request",
-                ),
+                "multiple models are loaded and none is named \"default\"; \
+                 pass \"model\" in the request",
             )
         }
     };
     let handle = match ctx.registry.get(&name) {
         Some(h) => h,
-        None => {
-            return (
-                404,
-                protocol::error_to_json(&format!("unknown model {name:?}")),
-            )
-        }
+        None => return error(404, &format!("unknown model {name:?}")),
     };
-    if scan.learn {
-        // Opt-in tap: queue a copy of the columns for the learner. The
-        // tap is best-effort — a full queue sheds the batch (counted)
-        // rather than failing or slowing the scan.
-        let Some(tx) = &ctx.learn_tx else {
-            return (
-                400,
-                protocol::error_to_json(
-                    "\"learn\": true requires a server started with online learning enabled",
-                ),
-            );
-        };
-        let tapped = scan.columns.len() as u64;
-        match tx.try_send(scan.columns.clone()) {
-            Ok(()) => {
-                ctx.stats
-                    .learn_ingested_columns
-                    .fetch_add(tapped, Ordering::Relaxed);
-            }
-            Err(_) => {
-                ctx.stats
-                    .learn_dropped_columns
-                    .fetch_add(tapped, Ordering::Relaxed);
-            }
-        }
-    }
-    if let Some(detectors) = &scan.detectors {
-        return handle_ensemble_scan(
-            ctx,
-            &handle,
-            detectors,
-            scan.merge.as_deref(),
-            &scan.columns,
-            start,
+    if scan.learn && ctx.learn_tx.is_none() {
+        return error(
+            400,
+            "\"learn\": true requires a server started with online learning enabled",
         );
     }
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = ScanJob {
-        handle: handle.clone(),
-        columns: scan.columns,
-        reply: reply_tx,
+    let (status, body) = match &scan.detectors {
+        Some(detectors) => {
+            let (status, body) = handle_ensemble_scan(
+                ctx,
+                &handle,
+                detectors,
+                scan.merge.as_deref(),
+                &scan.columns,
+            );
+            (status, body.to_text())
+        }
+        None => handle_single_scan(ctx, &handle, &scan.columns, decoded),
     };
-    if ctx.job_tx.send(job).is_err() {
-        return (500, protocol::error_to_json("scan queue is closed"));
+    if status == 200 {
+        ctx.stats.latency.record(start.elapsed());
+        if scan.learn {
+            tap_for_learning(ctx, scan.columns);
+        }
     }
-    let result = match reply_rx.recv() {
-        Ok(Ok(r)) => r,
-        Ok(Err(msg)) => return (500, protocol::error_to_json(&format!("scan failed: {msg}"))),
-        Err(_) => return (500, protocol::error_to_json("scan worker disappeared")),
+    (status, body)
+}
+
+/// The single-model path of `POST /v1/scan`: one engine call on this
+/// worker through the server's [`CachePool`], then the response text.
+/// `decoded` is the request's decode time; on success the three phases
+/// are added to the stats.
+fn handle_single_scan(
+    ctx: &WorkerCtx,
+    handle: &ModelHandle,
+    columns: &[Column],
+    decoded: Duration,
+) -> (u16, String) {
+    // adt-allow(determinism): wall-clock feeds the phase counters only, never scan results
+    let scan_start = Instant::now();
+    let result = ScanEngine::new(Arc::clone(&handle.model))
+        .with_threads(ctx.engine_threads)
+        .with_cache_pool(Arc::clone(&ctx.cache_pool))
+        .scan_columns(columns);
+    ctx.stats.batches.fetch_add(1, Ordering::Relaxed);
+    let report = match result {
+        Ok(r) => r,
+        Err(e) => return error(500, &format!("scan failed: {e}")),
     };
-    ctx.stats.scans_ok.fetch_add(1, Ordering::Relaxed);
-    ctx.stats
-        .findings
-        .fetch_add(result.findings.len() as u64, Ordering::Relaxed);
-    ctx.stats
-        .columns_scanned
-        .fetch_add(result.columns.len() as u64, Ordering::Relaxed);
-    ctx.stats.values_scored.fetch_add(
-        result.columns.iter().map(|c| c.values_scored).sum::<u64>(),
-        Ordering::Relaxed,
-    );
-    ctx.stats.record_model_hit(&handle.name);
-    ctx.stats.latency.record(start.elapsed());
-    (
-        200,
-        protocol::scan_response_to_json(
-            &handle.name,
-            handle.generation,
-            result.batched_with,
-            &result.findings,
-            &result.columns,
-        ),
+    let scanned = scan_start.elapsed();
+    // adt-allow(determinism): wall-clock feeds the phase counters only, never scan results
+    let encode_start = Instant::now();
+    let body = protocol::scan_response_to_json(
+        &handle.name,
+        handle.generation,
+        &report.findings,
+        &report.columns,
     )
+    .to_text();
+    let encoded = encode_start.elapsed();
+
+    let stats = &ctx.stats;
+    stats.record_scan(&handle.name, report.findings.len(), &report.columns);
+    let add = |counter: &AtomicU64, n: u64| counter.fetch_add(n, Ordering::Relaxed);
+    add(&stats.npmi_probes, report.stats.npmi_probes);
+    add(&stats.npmi_memo_hits, report.stats.npmi_memo_hits);
+    add(
+        &stats.kernel_group_columns,
+        report.stats.kernel_choices.group,
+    );
+    add(
+        &stats.kernel_direct_columns,
+        report.stats.kernel_choices.direct,
+    );
+    add(&stats.scan_decode_nanos, nanos(decoded));
+    add(&stats.scan_engine_nanos, nanos(scanned));
+    add(&stats.scan_encode_nanos, nanos(encoded));
+    (200, body)
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// The opt-in learn tap of a scan: hands the scanned columns to the
+/// learner. Best-effort — a full queue sheds them (counted) rather than
+/// failing or slowing the scan.
+fn tap_for_learning(ctx: &WorkerCtx, columns: Vec<Column>) {
+    let Some(tx) = &ctx.learn_tx else {
+        return;
+    };
+    let tapped = columns.len() as u64;
+    let counter = match tx.try_send(columns) {
+        Ok(()) => &ctx.stats.learn_ingested_columns,
+        Err(_) => &ctx.stats.learn_dropped_columns,
+    };
+    counter.fetch_add(tapped, Ordering::Relaxed);
 }
 
 /// `POST /v1/learn`: queue uploaded columns for the background learner.
@@ -684,18 +714,18 @@ fn handle_learn(ctx: &WorkerCtx, req: &Request) -> (u16, Json) {
 }
 
 /// The ensemble path of `POST /v1/scan`: builds the requested detector
-/// set around the resolved model, runs the [`EnsembleEngine`] inline
-/// (bypassing the micro-batcher — member detectors are constructed per
-/// request and share no cache pool), and encodes merged predictions
-/// with the per-detector lanes. Unknown detector names, duplicates, and
-/// malformed merge policies are 400s carrying the offending input.
+/// set around the resolved model, runs the [`EnsembleEngine`] on this
+/// worker (member detectors are constructed per request and share no
+/// cache pool, so it does not use the server's), and encodes merged
+/// predictions with the per-detector lanes. Unknown detector names,
+/// duplicates, and malformed merge policies are 400s carrying the
+/// offending input.
 fn handle_ensemble_scan(
     ctx: &WorkerCtx,
     handle: &ModelHandle,
     detectors: &[String],
     merge: Option<&str>,
     columns: &[Column],
-    start: Instant,
 ) -> (u16, Json) {
     if detectors.is_empty() {
         return (
@@ -788,30 +818,37 @@ fn handle_ensemble_scan(
             .then_with(|| a.finding.suspect.cmp(&b.finding.suspect))
     });
 
-    ctx.stats.scans_ok.fetch_add(1, Ordering::Relaxed);
+    ctx.stats
+        .record_scan(&handle.name, findings.len(), &summaries);
     ctx.stats.ensemble_scans.fetch_add(1, Ordering::Relaxed);
-    ctx.stats
-        .findings
-        .fetch_add(findings.len() as u64, Ordering::Relaxed);
-    ctx.stats
-        .columns_scanned
-        .fetch_add(columns.len() as u64, Ordering::Relaxed);
-    ctx.stats.values_scored.fetch_add(
-        summaries.iter().map(|c| c.values_scored).sum::<u64>(),
-        Ordering::Relaxed,
-    );
     ctx.stats.record_detector_lanes(&report.stats.detectors);
-    ctx.stats.record_model_hit(&handle.name);
-    ctx.stats.latency.record(start.elapsed());
     (
         200,
         protocol::scan_response_to_json_full(
             &handle.name,
             handle.generation,
-            0,
             &findings,
             &summaries,
             Some((&merge_label, &report.stats.detectors)),
         ),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_engine_threads_share_the_cores_among_workers() {
+        // An explicit count is taken as given.
+        assert_eq!(engine_threads_per_scan(3, 4, 64), 3);
+        // `0` splits the cores evenly over the workers that may all
+        // scan at once, rounding down but never below one.
+        assert_eq!(engine_threads_per_scan(0, 2, 2), 1);
+        assert_eq!(engine_threads_per_scan(0, 4, 64), 16);
+        assert_eq!(engine_threads_per_scan(0, 3, 8), 2);
+        assert_eq!(engine_threads_per_scan(0, 8, 2), 1);
+        assert_eq!(engine_threads_per_scan(0, 1, 8), 8);
+        assert_eq!(engine_threads_per_scan(0, 0, 8), 8);
+    }
 }

@@ -2,22 +2,29 @@
 //! and per-model hit counts — the `ScanReport`-style observability layer
 //! behind `GET /v1/stats`.
 //!
-//! Counters are lock-free atomics; latency is a fixed power-of-two
-//! histogram over microseconds (64 buckets cover ~18 minutes), so p50/p99
-//! are bucket-resolution estimates (≤2× error), never a sorted-vector
-//! scan on the hot path. Per-model hits take a short mutex — one map
-//! bump per request, negligible next to a scan.
+//! Counters are lock-free atomics; latency is a fixed log-linear
+//! histogram over microseconds (each power-of-two octave split into 8
+//! linear sub-buckets, covering the whole `u64` range), so p50/p99 are
+//! bucket-resolution estimates that never undershoot and overshoot by
+//! under 12.5%, never a sorted-vector scan on the hot path. Per-model
+//! hits take a short mutex — one map bump per request, negligible next
+//! to a scan.
 
 use crate::json::Json;
-use adt_core::DetectorLane;
+use adt_core::{ColumnSummary, DetectorLane};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-const BUCKETS: usize = 64;
+/// Linear sub-buckets per power-of-two octave (as a shift: 2^3 = 8).
+const SUB_BITS: u32 = 3;
+const SUB: usize = 1 << SUB_BITS;
+/// Values below `SUB` get one exact bucket each; every octave above
+/// them, up to `2^63`, gets `SUB` buckets.
+const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 
-/// A power-of-two latency histogram over microseconds.
+/// A log-linear latency histogram over microseconds.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
@@ -31,13 +38,33 @@ impl Default for LatencyHistogram {
     }
 }
 
+/// The bucket holding `v`: exact below `SUB`, then `SUB` equal-width
+/// buckets per octave `[2^e, 2^(e+1))`.
+fn bucket_of(v: u64) -> usize {
+    if v < SUB as u64 {
+        return v as usize;
+    }
+    let e = 63 - v.leading_zeros();
+    let sub = (v >> (e - SUB_BITS)) as usize & (SUB - 1);
+    SUB + (e - SUB_BITS) as usize * SUB + sub
+}
+
+/// The largest value bucket `i` holds.
+fn bucket_max(i: usize) -> u64 {
+    if i < SUB {
+        return i as u64;
+    }
+    let shift = ((i - SUB) / SUB) as u32;
+    let sub = ((i - SUB) % SUB) as u64;
+    // Saturates only for the top bucket, whose true bound is u64::MAX.
+    ((SUB as u64 + sub + 1) << shift).wrapping_sub(1)
+}
+
 impl LatencyHistogram {
     /// Records one duration.
     pub fn record(&self, d: Duration) {
         let micros = d.as_micros().min(u64::MAX as u128) as u64;
-        // Bucket i holds durations in [2^(i-1), 2^i) µs; bucket 0 is <1µs.
-        let bucket = (64 - micros.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total recorded samples.
@@ -45,7 +72,7 @@ impl LatencyHistogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// The `q`-quantile (`0.5` = p50) as the upper bound of the bucket
+    /// The `q`-quantile (`0.5` = p50) as the largest value of the bucket
     /// the quantile falls in, in microseconds; `None` when empty.
     pub fn quantile_micros(&self, q: f64) -> Option<u64> {
         let total = self.count();
@@ -57,10 +84,10 @@ impl LatencyHistogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
-                return Some(if i == 0 { 1 } else { 1u64 << i });
+                return Some(bucket_max(i));
             }
         }
-        Some(1u64 << (BUCKETS - 1))
+        Some(u64::MAX)
     }
 }
 
@@ -84,12 +111,12 @@ pub struct ServerStats {
     pub columns_scanned: AtomicU64,
     /// Findings returned across all scans.
     pub findings: AtomicU64,
-    /// Engine dispatches (micro-batches); `scans_ok / batches` ≥ 1 is the
-    /// amortization factor.
+    /// Engine dispatches: one per single-model scan, each on the HTTP
+    /// worker that decoded the request.
     pub batches: AtomicU64,
     /// NPMI scores computed from count probes across all scans.
     pub npmi_probes: AtomicU64,
-    /// NPMI scores answered from the batcher's long-lived score memo;
+    /// NPMI scores answered from the server's long-lived cache pool;
     /// `npmi_memo_hits / (npmi_probes + npmi_memo_hits)` is the memo hit
     /// rate steady traffic converges to.
     pub npmi_memo_hits: AtomicU64,
@@ -122,7 +149,15 @@ pub struct ServerStats {
     pub learn_pending_columns: AtomicU64,
     /// Gauge: wall milliseconds of the most recent retrain.
     pub learn_last_retrain_ms: AtomicU64,
-    /// End-to-end scan-request latency.
+    /// Cumulative nanoseconds of successful single-model scans spent
+    /// decoding the request (UTF-8 check, JSON parse, request decode).
+    pub scan_decode_nanos: AtomicU64,
+    /// Cumulative nanoseconds of the same scans spent in the engine.
+    pub scan_engine_nanos: AtomicU64,
+    /// Cumulative nanoseconds of the same scans spent encoding the
+    /// response (JSON tree and its text).
+    pub scan_encode_nanos: AtomicU64,
+    /// End-to-end scan-request latency, decode through encode.
     pub latency: LatencyHistogram,
     per_model: Mutex<HashMap<String, u64>>,
     /// Cumulative per-detector lanes from ensemble scans:
@@ -158,6 +193,9 @@ impl Default for ServerStats {
             learn_errors: AtomicU64::new(0),
             learn_pending_columns: AtomicU64::new(0),
             learn_last_retrain_ms: AtomicU64::new(0),
+            scan_decode_nanos: AtomicU64::new(0),
+            scan_engine_nanos: AtomicU64::new(0),
+            scan_encode_nanos: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
             per_model: Mutex::new(HashMap::new()),
             per_detector: Mutex::new(HashMap::new()),
@@ -166,6 +204,20 @@ impl Default for ServerStats {
 }
 
 impl ServerStats {
+    /// Counts one successful scan by `model` that reported `findings`
+    /// over the per-column outcomes `columns`.
+    pub fn record_scan(&self, model: &str, findings: usize, columns: &[ColumnSummary]) {
+        self.scans_ok.fetch_add(1, Ordering::Relaxed);
+        self.findings.fetch_add(findings as u64, Ordering::Relaxed);
+        self.columns_scanned
+            .fetch_add(columns.len() as u64, Ordering::Relaxed);
+        self.values_scored.fetch_add(
+            columns.iter().map(|c| c.values_scored).sum(),
+            Ordering::Relaxed,
+        );
+        self.record_model_hit(model);
+    }
+
     /// Counts one served scan against `model`.
     pub fn record_model_hit(&self, model: &str) {
         // Counters stay valid under poison (increments are atomic with
@@ -220,6 +272,7 @@ impl ServerStats {
     /// Snapshot as the `/v1/stats` JSON body.
     pub fn to_json(&self) -> Json {
         let get = |a: &AtomicU64| Json::num(a.load(Ordering::Relaxed) as f64);
+        let micros = |a: &AtomicU64| Json::num(a.load(Ordering::Relaxed) as f64 / 1e3);
         let quant = |q: f64| {
             self.latency
                 .quantile_micros(q)
@@ -269,6 +322,14 @@ impl ServerStats {
                     ("last_retrain_ms", get(&self.learn_last_retrain_ms)),
                 ]),
             ),
+            (
+                "scan_phases",
+                Json::obj(vec![
+                    ("decode_us", micros(&self.scan_decode_nanos)),
+                    ("scan_us", micros(&self.scan_engine_nanos)),
+                    ("encode_us", micros(&self.scan_encode_nanos)),
+                ]),
+            ),
             ("scan_latency_p50_us", quant(0.5)),
             ("scan_latency_p99_us", quant(0.99)),
             ("model_hits", Json::Obj(per_model)),
@@ -310,9 +371,39 @@ mod tests {
         assert!((32..=64).contains(&p50), "p50 {p50}");
         let p99 = h.quantile_micros(0.99).unwrap();
         assert!(p99 >= 4096, "p99 {p99}");
-        // Quantiles never undershoot by more than a bucket: the p0+ε
-        // bucket bound is ≥ the smallest sample.
+        // Quantiles never undershoot: the p0+ε bucket bound is ≥ the
+        // smallest sample.
         assert!(h.quantile_micros(0.01).unwrap() >= 10);
+    }
+
+    #[test]
+    fn histogram_quantiles_land_within_an_eighth() {
+        // 1..=20_000 µs, each once, plus a slow tail: exact p50 is
+        // 10_050 and exact p99 is 20_000 (the tail is 100 of 20_100).
+        let h = LatencyHistogram::default();
+        let mut samples: Vec<u64> = (1..=20_000).collect();
+        samples.extend(std::iter::repeat_n(250_000, 100));
+        for &micros in &samples {
+            h.record(Duration::from_micros(micros));
+        }
+        samples.sort_unstable();
+        for q in [0.5, 0.99] {
+            let rank = ((samples.len() as f64) * q).ceil() as usize;
+            let exact = samples[rank - 1] as f64;
+            let estimate = h.quantile_micros(q).unwrap() as f64;
+            assert!(estimate >= exact, "q{q}: {estimate} undershoots {exact}");
+            assert!(
+                (estimate - exact) / exact <= 0.125,
+                "q{q}: {estimate} is over 12.5% above {exact}"
+            );
+        }
+        // Every bucket bound is within an eighth of the values it holds.
+        for v in [8u64, 9, 15, 16, 1000, 4095, 4096, 123_456_789, u64::MAX] {
+            let max = bucket_max(bucket_of(v));
+            assert!(max >= v, "{v} above its bucket bound {max}");
+            assert!((max - v) as f64 / v as f64 <= 0.125, "{v} → {max}");
+        }
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
     }
 
     #[test]
@@ -330,6 +421,10 @@ mod tests {
         );
         assert!(v.get("scan_latency_p50_us").unwrap().as_u64().is_some());
         assert!(v.get("uptime_ms").is_some());
+        let phases = v.get("scan_phases").expect("scan_phases missing");
+        for key in ["decode_us", "scan_us", "encode_us"] {
+            assert!(phases.get(key).and_then(Json::as_f64).is_some(), "{key}");
+        }
     }
 
     #[test]

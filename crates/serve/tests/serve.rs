@@ -91,6 +91,42 @@ fn scan_round_trip_matches_direct_engine() {
     }
     assert_eq!(response.findings[0].suspect, "2014/04/04");
 
+    // The scan's decode, engine and encode phases are all timed.
+    let stats = client.get("/v1/stats").unwrap();
+    let phases = stats.get("scan_phases").expect("scan_phases missing");
+    for key in ["decode_us", "scan_us", "encode_us"] {
+        let us = phases.get(key).and_then(Json::as_f64);
+        assert!(us.is_some_and(|us| us > 0.0), "scan_phases.{key} = {us:?}");
+    }
+
+    handle.shutdown();
+    join.finish().unwrap();
+}
+
+#[test]
+fn sequential_scans_reuse_the_pooled_cache() {
+    let config = ServeConfig {
+        workers: 2,
+        engine_threads: 1,
+        ..ServeConfig::default()
+    };
+    let (client, handle, join) = start("pooled_cache", config);
+    let counters = |client: &Client| {
+        let stats = client.get("/v1/stats").unwrap();
+        let get = |key| stats.get(key).and_then(Json::as_u64).unwrap();
+        (get("npmi_probes"), get("npmi_memo_hits"))
+    };
+    let columns = dirty_columns();
+    client.scan(None, &columns).unwrap();
+    let (cold_probes, cold_hits) = counters(&client);
+    assert!(cold_probes > 0, "a cold scan must probe");
+    // The same request again, on whichever worker takes it, resumes the
+    // server's cache pool: every score comes from the memo.
+    client.scan(None, &columns).unwrap();
+    let (probes, hits) = counters(&client);
+    assert_eq!(probes, cold_probes, "the warm scan recomputed scores");
+    assert_eq!(hits - cold_hits, cold_probes + cold_hits);
+
     handle.shutdown();
     join.finish().unwrap();
 }
@@ -354,7 +390,7 @@ fn concurrent_clients_get_engine_identical_results() {
     let scans = stats.get("scans_ok").and_then(Json::as_u64).unwrap();
     assert_eq!(scans, 8 * ROUNDS as u64);
     let batches = stats.get("batches").and_then(Json::as_u64).unwrap();
-    assert!(batches >= 1 && batches <= scans, "batches {batches}");
+    assert_eq!(batches, scans, "one engine dispatch per scan");
     assert!(stats.get("scan_latency_p50_us").unwrap().as_u64().is_some());
     assert_eq!(
         stats

@@ -6,7 +6,8 @@
 #   scripts/serve_smoke.sh path/to/autodetect
 #
 # Exits non-zero if any step fails, if the known-dirty value is not
-# flagged, or if the server does not exit cleanly after `stop`.
+# flagged, if `/v1/stats` does not show one clean scan with every
+# phase timed, or if the server does not exit cleanly after `stop`.
 set -eu
 
 BIN=${1:?usage: serve_smoke.sh path/to/autodetect-binary}
@@ -62,6 +63,29 @@ echo "== serve smoke: server is at $ADDR"
 if ! grep -q "2019/03/04" "$WORK/query.out"; then
     echo "serve smoke FAILED: known-dirty value not flagged:" >&2
     cat "$WORK/query.out" >&2
+    exit 1
+fi
+
+# The scan is counted in /v1/stats, nothing failed, and each of its
+# decode/scan/encode phases took measurable time.
+if ! python3 - "$ADDR" <<'EOF'
+import json, sys, urllib.request
+# Loopback only: ignore any proxy the environment names.
+opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+with opener.open("http://%s/v1/stats" % sys.argv[1], timeout=10) as r:
+    stats = json.load(r)
+phases = stats.get("scan_phases", {})
+if (stats.get("scans_ok") != 1 or stats.get("server_errors") != 0
+        or sorted(phases) != ["decode_us", "encode_us", "scan_us"]
+        or not all(v > 0 for v in phases.values())):
+    sys.exit("serve smoke FAILED: /v1/stats scans_ok %r, server_errors %r, "
+             "scan_phases %r" % (stats.get("scans_ok"),
+                                 stats.get("server_errors"), phases))
+print("== serve smoke: scans_ok 1, server_errors 0, scan_phases %s" %
+      ", ".join("%s %.0f" % kv for kv in sorted(phases.items())))
+EOF
+then
+    cat "$WORK/serve.err" >&2
     exit 1
 fi
 

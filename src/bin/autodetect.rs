@@ -215,8 +215,10 @@ confidences without witness pairs, identical at any thread count.
 `serve` loads every model in --models DIR (name = file stem) and answers
 POST /v1/scan, GET /v1/healthz, GET /v1/stats, GET /v1/models, and
 POST /v1/shutdown on --addr (default 127.0.0.1:7171; port 0 picks an
-ephemeral one, printed as `listening on HOST:PORT`). Models hot-reload
-when their file changes. `query` round-trips a CSV through a running
+ephemeral one, printed as `listening on HOST:PORT`). Each of --workers
+HTTP workers (default all cores) scans its requests itself with
+--threads engine threads (default: the cores divided evenly among the
+workers, at least one). Models hot-reload when their file changes. `query` round-trips a CSV through a running
 server and prints findings in `scan`'s format; `stop` shuts a server
 down gracefully, draining in-flight requests.
 
@@ -658,8 +660,8 @@ fn cmd_query(args: &cli::Args) -> Result<(), String> {
         response.columns.len()
     );
     println!(
-        "served by model {:?} (generation {}, batched with {} other request(s))",
-        response.model, response.generation, response.batched_with
+        "served by model {:?} (generation {})",
+        response.model, response.generation
     );
     if let Some(ensemble) = &response.ensemble {
         println!("ensemble: merge {}", ensemble.merge);
