@@ -205,7 +205,7 @@ impl PatternCache {
     /// Stamps the cache with `model`, resetting it first when it was
     /// bound to a different model (hashes and scores don't transfer), and
     /// builds the hasher for the model's languages.
-    fn bind(&mut self, model: &AutoDetect) {
+    pub(crate) fn bind(&mut self, model: &AutoDetect) {
         let fp = model.fingerprint();
         if self.fingerprint != Some(fp) {
             if self.fingerprint.is_some() {
@@ -482,15 +482,23 @@ impl AutoDetect {
 
     /// Distinct values of a column, most frequent first, capped. Returns
     /// the capped list plus the uncapped distinct count.
+    ///
+    /// Counts by sorting rather than hashing: the sorted values fall into
+    /// runs of equal strings, already in ascending order, and a *stable*
+    /// sort on count descending keeps that order among equal counts — the
+    /// lexicographic tie-break that makes the list deterministic.
     fn distinct_capped<'a>(&self, column: &'a Column) -> (Vec<(&'a str, usize)>, usize) {
-        let mut counts: FxHashMap<&str, usize> = FxHashMap::default();
-        for v in column.non_empty_values() {
-            *counts.entry(v).or_insert(0) += 1;
+        let mut values: Vec<&str> = column.non_empty_values().collect();
+        values.sort_unstable();
+        let mut out: Vec<(&str, usize)> = Vec::new();
+        for v in values {
+            match out.last_mut() {
+                Some((last, n)) if *last == v => *n += 1,
+                _ => out.push((v, 1)),
+            }
         }
-        let total = counts.len();
-        let mut out: Vec<(&str, usize)> = counts.into_iter().collect();
-        // Most frequent first; lexicographic tie-break for determinism.
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        let total = out.len();
+        out.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
         out.truncate(self.max_distinct_values);
         (out, total)
     }
@@ -527,6 +535,19 @@ impl AutoDetect {
         aggregator: Aggregator,
         cache: &mut PatternCache,
     ) -> (Vec<ColumnFinding>, ScanStats) {
+        cache.bind(self);
+        self.scan_column_bound(column, aggregator, cache)
+    }
+
+    /// [`AutoDetect::scan_column`] through a cache already bound to this
+    /// model: the engine binds each worker's cache once, when the worker
+    /// starts, rather than fingerprinting the model for every column.
+    pub(crate) fn scan_column_bound(
+        &self,
+        column: &Column,
+        aggregator: Aggregator,
+        cache: &mut PatternCache,
+    ) -> (Vec<ColumnFinding>, ScanStats) {
         let (distinct, total_distinct) = self.distinct_capped(column);
         self.scan_pairs(&distinct, total_distinct, aggregator, cache)
     }
@@ -543,6 +564,18 @@ impl AutoDetect {
         aggregator: Aggregator,
         cache: &mut PatternCache,
     ) -> (Vec<ColumnFinding>, ScanStats) {
+        cache.bind(self);
+        self.scan_value_counts_bound(counts, aggregator, cache)
+    }
+
+    /// [`AutoDetect::scan_value_counts`] through a cache already bound to
+    /// this model (see [`AutoDetect::scan_column_bound`]).
+    pub(crate) fn scan_value_counts_bound(
+        &self,
+        counts: &[(String, usize)],
+        aggregator: Aggregator,
+        cache: &mut PatternCache,
+    ) -> (Vec<ColumnFinding>, ScanStats) {
         let total_distinct = counts.len();
         let mut distinct: Vec<(&str, usize)> =
             counts.iter().map(|(v, c)| (v.as_str(), *c)).collect();
@@ -553,7 +586,8 @@ impl AutoDetect {
 
     /// The pattern-group scoring kernel (see the module docs). Findings
     /// and pair counters are byte-identical to
-    /// [`AutoDetect::scan_pairs_reference`].
+    /// [`AutoDetect::scan_pairs_reference`]. `cache` must already be
+    /// bound to this model.
     fn scan_pairs(
         &self,
         distinct: &[(&str, usize)],
@@ -571,7 +605,6 @@ impl AutoDetect {
         if d < 2 {
             return (Vec::new(), stats);
         }
-        cache.bind(self);
 
         // Generalize every distinct value once under all languages (cache
         // hits skip the work entirely), viewed per-language.
@@ -1599,5 +1632,60 @@ mod tests {
         assert_ne!(first.fingerprint(), second.fingerprint());
         assert_cache_hashes_match_pattern_of(&second, &mut cache, &values);
         assert_eq!(cache.rebinds(), 1);
+    }
+
+    /// The hash-map distinct counter the sort-based
+    /// [`AutoDetect::distinct_capped`] replaced, kept as its oracle: count
+    /// in a map, then sort by count descending, value ascending.
+    fn distinct_capped_oracle(max_distinct: usize, column: &Column) -> (Vec<(&str, usize)>, usize) {
+        let mut counts: FxHashMap<&str, usize> = FxHashMap::default();
+        for v in column.non_empty_values() {
+            *counts.entry(v).or_insert(0) += 1;
+        }
+        let total = counts.len();
+        let mut out: Vec<(&str, usize)> = counts.into_iter().collect();
+        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        out.truncate(max_distinct);
+        (out, total)
+    }
+
+    #[test]
+    fn distinct_capped_matches_the_hash_map_oracle() {
+        use adt_rng::prelude::*;
+        // Pieces that make values share prefixes (`a`/`ab`), span 1- to
+        // 4-byte characters and embed NUL; concatenations of up to three
+        // of them give columns many near-duplicate distinct values.
+        const PIECES: [&str; 10] = ["a", "b", "ab", "\0", "é", "日本", "😀", "-", " ", "A"];
+        let mut rng = StdRng::seed_from_u64(0x5eed_d157);
+        let mut model = model_over(Vec::new());
+        for case in 0..400 {
+            let pool_size = rng.random_range(1..=240usize);
+            let pool: Vec<String> = (0..pool_size)
+                .map(|_| {
+                    (0..rng.random_range(0..=3usize))
+                        .map(|_| PIECES[rng.random_range(0..PIECES.len())])
+                        .collect()
+                })
+                .collect();
+            // A squared uniform skews picks toward the front of the pool:
+            // heavy duplicates there, many count ties in the tail.
+            let values: Vec<String> = (0..rng.random_range(0..=800usize))
+                .map(|_| {
+                    if rng.random_bool(0.1) {
+                        return String::new();
+                    }
+                    let u: f64 = rng.random();
+                    pool[((u * u) * pool_size as f64) as usize].clone()
+                })
+                .collect();
+            model.max_distinct_values = rng.random_range(1..=120usize);
+            let column = Column::new(values, SourceTag::Wiki);
+            assert_eq!(
+                model.distinct_capped(&column),
+                distinct_capped_oracle(model.max_distinct_values, &column),
+                "case {case}, cap {}",
+                model.max_distinct_values
+            );
+        }
     }
 }

@@ -176,17 +176,21 @@ impl CachePool {
 
 /// Worker-thread cache state: pooled when the engine has a [`CachePool`]
 /// (checked out at worker start, restored on drop), private otherwise.
+/// The cache is bound to the engine's model once, at worker start, so
+/// the worker's columns skip the per-call bind; a pooled cache last bound
+/// to another model resets here.
 struct WorkerCache {
     cache: Option<PatternCache>,
     pool: Option<Arc<CachePool>>,
 }
 
 impl WorkerCache {
-    fn new(pool: Option<Arc<CachePool>>) -> Self {
-        let cache = match &pool {
+    fn new(pool: Option<Arc<CachePool>>, model: &AutoDetect) -> Self {
+        let mut cache = match &pool {
             Some(p) => p.checkout(),
             None => PatternCache::new(),
         };
+        cache.bind(model);
         WorkerCache {
             cache: Some(cache),
             pool,
@@ -350,8 +354,8 @@ impl ScanEngine {
             columns,
             self.threads,
             "scan_columns",
-            || WorkerCache::new(self.cache_pool.clone()),
-            |worker, _, col| model.scan_column(col, aggregator, worker.cache_mut()),
+            || WorkerCache::new(self.cache_pool.clone(), model),
+            |worker, _, col| model.scan_column_bound(col, aggregator, worker.cache_mut()),
         )?;
         let scan_wall = scan_start.elapsed();
         let headers = columns.iter().map(|c| c.header.clone()).collect();
@@ -429,9 +433,9 @@ impl ScanEngine {
             &inputs,
             self.threads,
             "scan_csv",
-            || WorkerCache::new(self.cache_pool.clone()),
+            || WorkerCache::new(self.cache_pool.clone(), model),
             |worker, _, column_counts| {
-                model.scan_value_counts(column_counts, aggregator, worker.cache_mut())
+                model.scan_value_counts_bound(column_counts, aggregator, worker.cache_mut())
             },
         )?;
         let scan_wall = scan_start.elapsed();
@@ -690,6 +694,44 @@ mod tests {
         let b = solo.scan_columns(&cols).unwrap();
         assert_eq!(a.stats.npmi_probes, b.stats.npmi_probes);
         assert!(b.stats.npmi_probes > 0);
+    }
+
+    #[test]
+    fn pooled_cache_rebinds_once_when_the_engine_model_changes() {
+        let model_a = Arc::new(tiny_model());
+        let mut b = tiny_model();
+        b.npmi.smoothing = 0.9; // same languages, different scores
+        let model_b = Arc::new(b);
+        assert_ne!(model_a.fingerprint(), model_b.fingerprint());
+        let rebinds = |pool: &CachePool| -> u64 { pool.caches().iter().map(|c| c.rebinds()).sum() };
+        let cols = mixed_columns(6);
+
+        // Warm the pool under model A.
+        let pool = CachePool::new();
+        ScanEngine::new(Arc::clone(&model_a))
+            .with_threads(1)
+            .with_cache_pool(Arc::clone(&pool))
+            .scan_columns(&cols)
+            .unwrap();
+        assert_eq!(pool.size(), 1);
+        assert_eq!(rebinds(&pool), 0);
+
+        // A hot reload: the next engine runs model B over the same pool.
+        // The worker's one bind resets the cache (once, not per column),
+        // and nothing memoized under A reaches B's findings.
+        let warm = ScanEngine::new(Arc::clone(&model_b))
+            .with_threads(1)
+            .with_cache_pool(Arc::clone(&pool))
+            .scan_columns(&cols)
+            .unwrap();
+        assert_eq!(rebinds(&pool), 1);
+        let cold = ScanEngine::new(model_b)
+            .with_threads(1)
+            .scan_columns(&cols)
+            .unwrap();
+        assert_eq!(findings_repr(&warm.findings), findings_repr(&cold.findings));
+        assert_eq!(warm.stats.npmi_probes, cold.stats.npmi_probes);
+        assert_eq!(warm.stats.npmi_memo_hits, cold.stats.npmi_memo_hits);
     }
 
     #[test]

@@ -32,6 +32,15 @@ impl Json {
         }
     }
 
+    /// Mutable member lookup on an object (first match), so a decoder
+    /// that owns the tree can move values out of it.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -139,22 +148,33 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
+/// Writes a JSON string literal. Runs of bytes that need no escape are
+/// copied with one `push_str`; every escaped byte is ASCII, so each run
+/// boundary is a char boundary.
 fn write_str(s: &str, out: &mut String) {
     use fmt::Write;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(s.get(start..i).unwrap_or_default());
+        match escape {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        start = i + 1;
     }
+    out.push_str(s.get(start..).unwrap_or_default());
     out.push('"');
 }
 
@@ -178,6 +198,7 @@ impl std::error::Error for JsonError {}
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -191,6 +212,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -312,11 +334,14 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
             if self.pos > start {
-                // The input is valid UTF-8 (it came from a &str) and the
-                // run stops at an ASCII boundary, so the slice is valid;
-                // still, fail as a parse error rather than a panic.
-                let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?;
+                // The run starts after and stops at ASCII bytes, so both
+                // ends are char boundaries of the input and the slice
+                // needs no UTF-8 check; still, fail as a parse error
+                // rather than a panic.
+                let run = self
+                    .text
+                    .get(start..self.pos)
+                    .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
                 out.push_str(run);
             }
             match self.peek() {
@@ -412,8 +437,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid number"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
@@ -437,6 +464,93 @@ mod tests {
         let text = v.to_text();
         assert_eq!(parse(&text).unwrap(), v);
         assert!(text.contains("\"k\":42,"), "{text}");
+    }
+
+    /// The char-at-a-time writer that the run-copying [`write_str`]
+    /// replaced, kept as its oracle.
+    fn write_str_oracle(s: &str, out: &mut String) {
+        use fmt::Write;
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Strings that exercise every escape: each control byte below 0x20,
+    /// `"`, `\`, DEL, 2- to 4-byte characters at run boundaries, and the
+    /// empty string.
+    fn hostile_strings() -> Vec<String> {
+        let mut out: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+        out.extend(
+            [
+                "",
+                "\"",
+                "\\",
+                "\u{7f}",
+                "é",
+                "日本",
+                "😀",
+                "plain",
+                "\"\"",
+                "\\\\\"",
+                "a\"b\\c\u{0}d\u{1f}e\u{7f}f",
+                "é\"",
+                "\"😀",
+                "\\u0041",
+                "日\n本\t",
+            ]
+            .map(String::from),
+        );
+        out.push(
+            (0u8..0x20)
+                .map(|b| format!("é{}😀", char::from(b)))
+                .collect(),
+        );
+        out.push((0u8..=0x7f).map(char::from).collect());
+        out
+    }
+
+    #[test]
+    fn write_str_matches_the_oracle_and_parse_inverts_it() {
+        use adt_rng::prelude::*;
+        let mut strings = hostile_strings();
+        // Seeded random strings over the same alphabet.
+        let alphabet: Vec<char> = hostile_strings().iter().flat_map(|s| s.chars()).collect();
+        let mut rng = StdRng::seed_from_u64(0x15_0e5c);
+        for _ in 0..500 {
+            let len = rng.random_range(0..40usize);
+            strings.push(
+                (0..len)
+                    .map(|_| *alphabet.choose(&mut rng).unwrap())
+                    .collect(),
+            );
+        }
+        for s in &strings {
+            let (mut got, mut want) = (String::new(), String::new());
+            write_str(s, &mut got);
+            write_str_oracle(s, &mut want);
+            assert_eq!(got, want, "{s:?}");
+            assert_eq!(parse(&got), Ok(Json::Str(s.clone())), "{got}");
+        }
+        // Identity through a whole document: keys and array elements.
+        let doc = Json::Obj(
+            strings
+                .iter()
+                .map(|s| (s.clone(), Json::Arr(vec![Json::str(s.as_str())])))
+                .collect(),
+        );
+        assert_eq!(parse(&doc.to_text()), Ok(doc));
     }
 
     #[test]

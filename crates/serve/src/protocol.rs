@@ -133,30 +133,29 @@ fn bad(msg: impl Into<String>) -> ProtocolError {
     ProtocolError(msg.into())
 }
 
-/// Decodes the `"columns"` member shared by scan and learn requests.
-fn parse_columns(v: &Json) -> Result<Vec<Column>, ProtocolError> {
-    let cols = v
-        .get("columns")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("\"columns\" must be an array"))?;
+/// Decodes the `"columns"` member shared by scan and learn requests,
+/// moving each cell's string out of the parsed tree, so a cell is
+/// allocated once (by the parser), not copied again here.
+fn parse_columns(v: &mut Json) -> Result<Vec<Column>, ProtocolError> {
+    let Some(Json::Arr(cols)) = v.get_mut("columns") else {
+        return Err(bad("\"columns\" must be an array"));
+    };
     let mut columns = Vec::with_capacity(cols.len());
-    for (i, col) in cols.iter().enumerate() {
-        let values = col
-            .get("values")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad(format!("columns[{i}].values must be an array")))?;
+    for (i, col) in cols.iter_mut().enumerate() {
+        let Some(Json::Arr(values)) = col.get_mut("values") else {
+            return Err(bad(format!("columns[{i}].values must be an array")));
+        };
         let mut out = Vec::with_capacity(values.len());
         for val in values {
-            out.push(
-                val.as_str()
-                    .ok_or_else(|| bad(format!("columns[{i}] has a non-string value")))?
-                    .to_string(),
-            );
+            match val {
+                Json::Str(s) => out.push(std::mem::take(s)),
+                _ => return Err(bad(format!("columns[{i}] has a non-string value"))),
+            }
         }
         let mut column = Column::new(out, SourceTag::Local);
-        column.header = match col.get("header") {
+        column.header = match col.get_mut("header") {
             None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(s.clone()),
+            Some(Json::Str(s)) => Some(std::mem::take(s)),
             Some(_) => return Err(bad(format!("columns[{i}].header must be a string"))),
         };
         columns.push(column);
@@ -184,32 +183,32 @@ fn columns_to_json(columns: &[Column]) -> Json {
     )
 }
 
-/// Decodes a scan request body.
-pub fn parse_scan_request(v: &Json) -> Result<ScanRequest, ProtocolError> {
-    let model = match v.get("model") {
+/// Decodes a scan request body, taking the parsed tree so its strings
+/// move into the request instead of being copied.
+pub fn parse_scan_request(mut v: Json) -> Result<ScanRequest, ProtocolError> {
+    let model = match v.get_mut("model") {
         None | Some(Json::Null) => None,
-        Some(Json::Str(s)) => Some(s.clone()),
+        Some(Json::Str(s)) => Some(std::mem::take(s)),
         Some(_) => return Err(bad("\"model\" must be a string")),
     };
-    let columns = parse_columns(v)?;
-    let detectors = match v.get("detectors") {
+    let columns = parse_columns(&mut v)?;
+    let detectors = match v.get_mut("detectors") {
         None | Some(Json::Null) => None,
         Some(Json::Arr(items)) => {
             let mut names = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                names.push(
-                    item.as_str()
-                        .ok_or_else(|| bad(format!("detectors[{i}] must be a string")))?
-                        .to_string(),
-                );
+            for (i, item) in items.iter_mut().enumerate() {
+                match item {
+                    Json::Str(s) => names.push(std::mem::take(s)),
+                    _ => return Err(bad(format!("detectors[{i}] must be a string"))),
+                }
             }
             Some(names)
         }
         Some(_) => return Err(bad("\"detectors\" must be an array of strings")),
     };
-    let merge = match v.get("merge") {
+    let merge = match v.get_mut("merge") {
         None | Some(Json::Null) => None,
-        Some(Json::Str(s)) => Some(s.clone()),
+        Some(Json::Str(s)) => Some(std::mem::take(s)),
         Some(_) => return Err(bad("\"merge\" must be a string")),
     };
     if merge.is_some() && detectors.is_none() {
@@ -263,9 +262,10 @@ pub fn scan_request_to_json_full(
     Json::obj(members)
 }
 
-/// Decodes a `POST /v1/learn` request body: just columns.
-pub fn parse_learn_request(v: &Json) -> Result<Vec<Column>, ProtocolError> {
-    parse_columns(v)
+/// Decodes a `POST /v1/learn` request body: just columns, moved out of
+/// the parsed tree.
+pub fn parse_learn_request(mut v: Json) -> Result<Vec<Column>, ProtocolError> {
+    parse_columns(&mut v)
 }
 
 /// Encodes a `POST /v1/learn` request body.
@@ -481,29 +481,186 @@ mod tests {
         col.header = Some("h".into());
         let noheader = Column::from_strs(&["c"], SourceTag::Local);
         let json = scan_request_to_json(Some("m"), &[col.clone(), noheader.clone()]);
-        let back = parse_scan_request(&parse(&json.to_text()).unwrap()).unwrap();
+        let back = parse_scan_request(parse(&json.to_text()).unwrap()).unwrap();
         assert_eq!(back.model.as_deref(), Some("m"));
         assert_eq!(back.columns, vec![col, noheader]);
     }
 
     #[test]
     fn scan_request_validation() {
-        for bad in [
-            r#"{"columns": "nope"}"#,
-            r#"{"columns": [{"values": [1]}]}"#,
-            r#"{"columns": [{"values": "x"}]}"#,
-            r#"{"model": 3, "columns": []}"#,
-            r#"{"columns": [{"header": [], "values": []}]}"#,
-            r#"{"columns": [], "detectors": "autodetect"}"#,
-            r#"{"columns": [], "detectors": [1]}"#,
-            r#"{"columns": [], "merge": 2, "detectors": ["autodetect"]}"#,
-            r#"{"columns": [], "merge": "vote:2"}"#,
-            r#"{"columns": [], "learn": "yes"}"#,
-            r#"{"columns": [], "learn": 1}"#,
+        // Each malformed body, with the message it must report. A column
+        // is checked values first, then header.
+        for (bad, message) in [
+            (r#"{"columns": "nope"}"#, r#""columns" must be an array"#),
+            (
+                r#"{"columns": [{"values": [1]}]}"#,
+                "columns[0] has a non-string value",
+            ),
+            (
+                r#"{"columns": [{"values": "x"}]}"#,
+                "columns[0].values must be an array",
+            ),
+            (
+                r#"{"columns": [{"header": 7, "values": ["a", 1]}]}"#,
+                "columns[0] has a non-string value",
+            ),
+            (
+                r#"{"columns": [{"header": "h", "values": []}, {"values": ["a", 1], "header": 7}]}"#,
+                "columns[1] has a non-string value",
+            ),
+            (
+                r#"{"model": 3, "columns": []}"#,
+                r#""model" must be a string"#,
+            ),
+            (
+                r#"{"model": 3, "columns": "nope"}"#,
+                r#""model" must be a string"#,
+            ),
+            (
+                r#"{"columns": [{"header": [], "values": []}]}"#,
+                "columns[0].header must be a string",
+            ),
+            (
+                r#"{"columns": [], "detectors": "autodetect"}"#,
+                r#""detectors" must be an array of strings"#,
+            ),
+            (
+                r#"{"columns": [], "detectors": [1]}"#,
+                "detectors[0] must be a string",
+            ),
+            (
+                r#"{"columns": [], "merge": 2, "detectors": ["autodetect"]}"#,
+                r#""merge" must be a string"#,
+            ),
+            (
+                r#"{"columns": [], "merge": "vote:2"}"#,
+                r#""merge" requires "detectors""#,
+            ),
+            (
+                r#"{"columns": [], "learn": "yes"}"#,
+                r#""learn" must be a boolean"#,
+            ),
+            (
+                r#"{"columns": [], "learn": 1}"#,
+                r#""learn" must be a boolean"#,
+            ),
         ] {
             let v = parse(bad).unwrap();
-            assert!(parse_scan_request(&v).is_err(), "accepted {bad}");
+            match parse_scan_request(v) {
+                Ok(_) => panic!("accepted {bad}"),
+                Err(e) => assert_eq!(e.0, message, "{bad}"),
+            }
         }
+    }
+
+    /// Mutates valid request bodies byte by byte and feeds every UTF-8
+    /// result through the server's decode path: `json::parse`, then
+    /// `parse_scan_request` / `parse_learn_request`. Each must return a
+    /// typed error or a request — never panic — and a decoded request
+    /// must survive re-encoding unchanged.
+    #[test]
+    fn mutated_request_bodies_decode_or_fail_typed() {
+        use adt_rng::prelude::*;
+        const CASES: usize = 20_000;
+        const BYTES: &[u8] = b"\"\\{}[],:0123456789-+.eEtrufalsn u\x00\x1f\x7f\xc3\xa9";
+
+        let mut dated = Column::from_strs(
+            &[
+                "2011-01-01",
+                "2011/01/02",
+                "",
+                "say \"hi\"",
+                "a\\b",
+                "tab\there",
+                "é😀",
+            ],
+            SourceTag::Local,
+        );
+        dated.header = Some("when \"\\".into());
+        let plain = Column::from_strs(&["1", "2", "3,000"], SourceTag::Local);
+        let detectors = vec!["autodetect".to_string(), "fregex".to_string()];
+        let seeds: Vec<Vec<u8>> = [
+            scan_request_to_json(Some("m"), &[dated.clone(), plain.clone()]),
+            scan_request_to_json_full(
+                None,
+                &[dated.clone()],
+                Some(&detectors),
+                Some("vote:2"),
+                true,
+            ),
+            learn_request_to_json(&[plain, dated]),
+        ]
+        .iter()
+        .map(|j| j.to_text().into_bytes())
+        .collect();
+
+        let mut rng = StdRng::seed_from_u64(0xf022_5ca7);
+        let mut decoded = 0;
+        for case in 0..CASES {
+            let mut body = seeds.choose(&mut rng).unwrap().clone();
+            for _ in 0..rng.random_range(1..=4usize) {
+                let len = body.len();
+                let at = rng.random_range(0..=len);
+                let byte = if rng.random_bool(0.8) {
+                    *BYTES.choose(&mut rng).unwrap()
+                } else {
+                    rng.random_range(0..=255u8)
+                };
+                match rng.random_range(0..5u8) {
+                    0 if at < len => body[at] = byte,
+                    1 => body.insert(at, byte),
+                    2 => {
+                        let end = (at + rng.random_range(1..=8usize)).min(len);
+                        body.drain(at..end);
+                    }
+                    3 => {
+                        let end = (at + rng.random_range(1..=16usize)).min(len);
+                        let copy = body[at..end].to_vec();
+                        body.splice(at..at, copy);
+                    }
+                    _ => body.truncate(at),
+                }
+            }
+            let Ok(text) = String::from_utf8(body) else {
+                continue;
+            };
+            let outcome = std::panic::catch_unwind(|| match parse(&text) {
+                Err(e) => {
+                    assert!(e.offset <= text.len() && !e.message.is_empty(), "{e:?}");
+                    0
+                }
+                Ok(v) => {
+                    let learn = parse_learn_request(v.clone()).map(|cols| cols.len());
+                    match parse_scan_request(v) {
+                        Err(e) => {
+                            assert!(!e.0.is_empty());
+                            0
+                        }
+                        Ok(req) => {
+                            assert_eq!(learn, Ok(req.columns.len()));
+                            let again = scan_request_to_json_full(
+                                req.model.as_deref(),
+                                &req.columns,
+                                req.detectors.as_deref(),
+                                req.merge.as_deref(),
+                                req.learn,
+                            );
+                            let back =
+                                parse_scan_request(parse(&again.to_text()).unwrap()).unwrap();
+                            assert_eq!(back.columns, req.columns);
+                            assert_eq!(back.model, req.model);
+                            1
+                        }
+                    }
+                }
+            });
+            match outcome {
+                Ok(n) => decoded += n,
+                Err(_) => panic!("case {case} panicked on {text:?}"),
+            }
+        }
+        // The loop must reach the request decoder, not stop at the parser.
+        assert!(decoded > CASES / 20, "only {decoded} bodies decoded");
     }
 
     #[test]
@@ -512,7 +669,7 @@ mod tests {
         let detectors = vec!["autodetect".to_string(), "fregex".to_string()];
         let json =
             scan_request_to_json_full(Some("m"), &[col], Some(&detectors), Some("vote:2"), false);
-        let back = parse_scan_request(&parse(&json.to_text()).unwrap()).unwrap();
+        let back = parse_scan_request(parse(&json.to_text()).unwrap()).unwrap();
         assert_eq!(back.detectors.as_deref(), Some(&detectors[..]));
         assert_eq!(back.merge.as_deref(), Some("vote:2"));
         assert!(!back.learn);
@@ -523,7 +680,7 @@ mod tests {
         let col = Column::from_strs(&["a", "b"], SourceTag::Local);
         let json =
             scan_request_to_json_full(Some("m"), std::slice::from_ref(&col), None, None, true);
-        let back = parse_scan_request(&parse(&json.to_text()).unwrap()).unwrap();
+        let back = parse_scan_request(parse(&json.to_text()).unwrap()).unwrap();
         assert!(back.learn);
         // The tap is opt-in: plain encoders never emit the member.
         let plain = scan_request_to_json(Some("m"), &[col]).to_text();
@@ -535,7 +692,7 @@ mod tests {
         let mut col = Column::from_strs(&["1", "2"], SourceTag::Local);
         col.header = Some("n".into());
         let json = learn_request_to_json(&[col.clone()]);
-        let back = parse_learn_request(&parse(&json.to_text()).unwrap()).unwrap();
+        let back = parse_learn_request(parse(&json.to_text()).unwrap()).unwrap();
         assert_eq!(back, vec![col]);
 
         let resp = learn_response_to_json(17);

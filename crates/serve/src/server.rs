@@ -541,7 +541,7 @@ fn handle_scan(ctx: &WorkerCtx, req: &Request) -> (u16, String) {
         Ok(v) => v,
         Err(e) => return error(400, &format!("invalid JSON: {e}")),
     };
-    let scan = match protocol::parse_scan_request(&value) {
+    let scan = match protocol::parse_scan_request(value) {
         Ok(s) => s,
         Err(e) => return error(400, &e.to_string()),
     };
@@ -681,7 +681,7 @@ fn handle_learn(ctx: &WorkerCtx, req: &Request) -> (u16, Json) {
         Ok(v) => v,
         Err(e) => return (400, protocol::error_to_json(&format!("invalid JSON: {e}"))),
     };
-    let columns = match protocol::parse_learn_request(&value) {
+    let columns = match protocol::parse_learn_request(value) {
         Ok(c) => c,
         Err(e) => return (400, protocol::error_to_json(&e.to_string())),
     };

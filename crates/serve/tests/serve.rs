@@ -5,7 +5,7 @@
 use adt_core::{save_model, AutoDetectConfig, ScanEngine};
 use adt_corpus::{generate_corpus, Column, Corpus, CorpusProfile, SourceTag};
 use adt_serve::testutil::{tiny_model, tiny_model_one_language};
-use adt_serve::{Client, ClientError, Json, LearnConfig, ModelRegistry, ServeConfig, Server};
+use adt_serve::{json, Client, ClientError, Json, LearnConfig, ModelRegistry, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -190,6 +190,19 @@ fn wire_protocol_rejects_bad_requests_with_correct_codes() {
             body
         )),
         400
+    );
+    // A column with both a non-string value and a non-string header:
+    // values are checked first, so the value is what the 400 names.
+    let bad_column = json::parse(r#"{"columns": [{"header": 7, "values": ["a", 1]}]}"#).unwrap();
+    let resp = client
+        .connect()
+        .unwrap()
+        .request("POST", "/v1/scan", Some(&bad_column))
+        .unwrap();
+    assert_eq!(resp.status, 400);
+    assert_eq!(
+        resp.body.get("error").and_then(Json::as_str),
+        Some("invalid message: columns[0] has a non-string value")
     );
     // Oversized body → 413 without reading it.
     assert_eq!(

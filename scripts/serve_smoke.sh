@@ -6,8 +6,10 @@
 #   scripts/serve_smoke.sh path/to/autodetect
 #
 # Exits non-zero if any step fails, if the known-dirty value is not
-# flagged, if `/v1/stats` does not show one clean scan with every
-# phase timed, or if the server does not exit cleanly after `stop`.
+# flagged, if a header holding `"`, `\`, a tab and a non-ASCII character
+# does not come back verbatim, if `/v1/stats` does not show two clean
+# scans with every phase timed, or if the server does not exit cleanly
+# after `stop`.
 set -eu
 
 BIN=${1:?usage: serve_smoke.sh path/to/autodetect-binary}
@@ -66,8 +68,21 @@ if ! grep -q "2019/03/04" "$WORK/query.out"; then
     exit 1
 fi
 
-# The scan is counted in /v1/stats, nothing failed, and each of its
-# decode/scan/encode phases took measurable time.
+# A cell holding a quote, a backslash, a tab and a non-ASCII character,
+# as header and as values: the request and response must escape and
+# decode it, and the header must come back verbatim.
+HOSTILE=$(printf 'say "hi" \\ tab\t\303\251')
+printf '"say ""hi"" \\ tab\t\303\251",n\n"say ""hi"" \\ tab\t\303\251",1\nplain \303\251,2\n' \
+    > "$WORK/hostile.csv"
+"$BIN" query --addr "$ADDR" "$WORK/hostile.csv" > "$WORK/hostile.out"
+if ! grep -qF "[$HOSTILE]" "$WORK/hostile.out"; then
+    echo "serve smoke FAILED: escaped header did not round-trip:" >&2
+    cat "$WORK/hostile.out" >&2
+    exit 1
+fi
+
+# Both scans are counted in /v1/stats, nothing failed, and each
+# decode/scan/encode phase took measurable time.
 if ! python3 - "$ADDR" <<'EOF'
 import json, sys, urllib.request
 # Loopback only: ignore any proxy the environment names.
@@ -75,13 +90,13 @@ opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
 with opener.open("http://%s/v1/stats" % sys.argv[1], timeout=10) as r:
     stats = json.load(r)
 phases = stats.get("scan_phases", {})
-if (stats.get("scans_ok") != 1 or stats.get("server_errors") != 0
+if (stats.get("scans_ok") != 2 or stats.get("server_errors") != 0
         or sorted(phases) != ["decode_us", "encode_us", "scan_us"]
         or not all(v > 0 for v in phases.values())):
     sys.exit("serve smoke FAILED: /v1/stats scans_ok %r, server_errors %r, "
              "scan_phases %r" % (stats.get("scans_ok"),
                                  stats.get("server_errors"), phases))
-print("== serve smoke: scans_ok 1, server_errors 0, scan_phases %s" %
+print("== serve smoke: scans_ok 2, server_errors 0, scan_phases %s" %
       ", ".join("%s %.0f" % kv for kv in sorted(phases.items())))
 EOF
 then
