@@ -97,8 +97,6 @@ cargo build --bin autodetect
 scripts/serve_smoke.sh target/debug/autodetect
 echo "== learn loop smoke test"
 scripts/learn_smoke.sh target/debug/autodetect
-echo "== learn loop smoke test, streaming co-occurrence"
-scripts/learn_smoke.sh target/debug/autodetect streaming
 echo "== matrix report smoke: detector x error-class"
 matrix_smoke
 echo "== figure smoke: exp_fig4 -> exp_report"

@@ -104,7 +104,6 @@ pub fn classify(rel: &str) -> FileClass {
             || rel == "crates/core/src/online.rs"
             || rel == "crates/stats/src/build.rs"
             || rel == "crates/stats/src/pipeline.rs"
-            || rel == "crates/stats/src/streaming.rs"
             || rel == "crates/patterns/src/classify.rs"
             || serve_handler,
         lock_scope: serve_src
@@ -113,8 +112,7 @@ pub fn classify(rel: &str) -> FileClass {
         arith_scope: rel == "crates/patterns/src/classify.rs"
             || rel == "crates/patterns/src/pattern.rs"
             || rel == "crates/core/src/detector.rs"
-            || rel == "crates/stats/src/pipeline.rs"
-            || rel == "crates/stats/src/streaming.rs",
+            || rel == "crates/stats/src/pipeline.rs",
         errorpath_scope: serve_handler || rel == "crates/core/src/online.rs",
     }
 }

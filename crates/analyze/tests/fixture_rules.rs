@@ -75,34 +75,6 @@ fn seeded_violations_reported_with_file_and_line() {
         has(f, "crates/stats/src/pipeline.rs", 8, "panic-safety"),
         "{f:#?}"
     );
-    // The streaming planner joined the same scopes: std map, truncating
-    // cast, and a computed index that is also a literal multiply.
-    assert!(
-        has(f, "crates/stats/src/streaming.rs", 5, "determinism"),
-        "{f:#?}"
-    );
-    assert!(
-        has(
-            f,
-            "crates/stats/src/streaming.rs",
-            7,
-            "unchecked-arithmetic"
-        ),
-        "{f:#?}"
-    );
-    assert!(
-        has(f, "crates/stats/src/streaming.rs", 9, "panic-safety"),
-        "{f:#?}"
-    );
-    assert!(
-        has(
-            f,
-            "crates/stats/src/streaming.rs",
-            9,
-            "unchecked-arithmetic"
-        ),
-        "{f:#?}"
-    );
     // panic-safety in the patterns classifier scope: the SWAR scanner's
     // hot path is held to the same kernel rules (computed index, unwrap).
     assert!(
@@ -234,14 +206,14 @@ fn seeded_violations_reported_with_file_and_line() {
 fn per_rule_counts_are_exact() {
     let a = run_fixture();
     let count = |rule: &str| a.findings.iter().filter(|f| f.rule == rule).count();
-    assert_eq!(count("determinism"), 6, "{:#?}", a.findings);
-    assert_eq!(count("panic-safety"), 9, "{:#?}", a.findings);
+    assert_eq!(count("determinism"), 5, "{:#?}", a.findings);
+    assert_eq!(count("panic-safety"), 8, "{:#?}", a.findings);
     assert_eq!(count("lock-discipline"), 6, "{:#?}", a.findings);
-    assert_eq!(count("unchecked-arithmetic"), 7, "{:#?}", a.findings);
+    assert_eq!(count("unchecked-arithmetic"), 5, "{:#?}", a.findings);
     assert_eq!(count("error-path"), 4, "{:#?}", a.findings);
     assert_eq!(count("allow-audit"), 8, "{:#?}", a.findings);
-    assert_eq!(a.findings.len(), 40, "{:#?}", a.findings);
-    assert_eq!(a.files_scanned, 11);
+    assert_eq!(a.findings.len(), 36, "{:#?}", a.findings);
+    assert_eq!(a.files_scanned, 10);
 }
 
 #[test]
@@ -266,11 +238,6 @@ fn justified_markers_suppress_their_findings() {
     // Suppressed: worker-slot expect in the stats pipeline scope.
     assert!(
         !has(f, "crates/stats/src/pipeline.rs", 13, "panic-safety"),
-        "{f:#?}"
-    );
-    // Suppressed: planner-width expect in the streaming scope.
-    assert!(
-        !has(f, "crates/stats/src/streaming.rs", 14, "panic-safety"),
         "{f:#?}"
     );
     // Suppressed: nonzero-diff expect in the patterns classifier scope.
@@ -389,15 +356,15 @@ fn json_report_is_stable_and_structured() {
     let second = run_fixture().to_json();
     assert_eq!(first, second, "JSON report must be byte-stable across runs");
     assert!(first.contains("\"version\": 1"));
-    assert!(first.contains("\"files_scanned\": 11"));
-    assert!(first.contains("\"determinism\": 6"));
-    assert!(first.contains("\"panic-safety\": 9"));
+    assert!(first.contains("\"files_scanned\": 10"));
+    assert!(first.contains("\"determinism\": 5"));
+    assert!(first.contains("\"panic-safety\": 8"));
     assert!(first.contains("\"lock-discipline\": 6"));
-    assert!(first.contains("\"unchecked-arithmetic\": 7"));
+    assert!(first.contains("\"unchecked-arithmetic\": 5"));
     assert!(first.contains("\"error-path\": 4"));
     assert!(first.contains("\"allow-audit\": 8"));
     // One JSON row per finding.
-    assert_eq!(first.matches("{\"file\": ").count(), 40);
+    assert_eq!(first.matches("{\"file\": ").count(), 36);
 }
 
 /// S1: two binary invocations of `--json` produce byte-identical output,
@@ -439,7 +406,7 @@ fn cli_json_output_is_byte_stable_and_sorted() {
         assert!(!field("rule").is_empty(), "{row}");
         keys.push((field("file"), field("line").parse::<u32>().expect("line")));
     }
-    assert_eq!(keys.len(), 40);
+    assert_eq!(keys.len(), 36);
     assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{keys:#?}");
 }
 

@@ -64,16 +64,10 @@ pub struct AutoDetectConfig {
     pub seed: u64,
     /// When set, the *final* selected languages store co-occurrence in a
     /// count-min sketch with this fraction of their exact size
-    /// (Figure 8(a): 1%, 10%, 100%=None).
+    /// (Figure 8(a): 1%, 10%, 100%=None). This is the only sketching:
+    /// the training pipeline always counts pairs exactly, and only the
+    /// assembled model is compressed, as in the paper's §3.4.
     pub sketch_fraction: Option<f64>,
-    /// How the training pipeline accumulates co-occurrence counts.
-    /// [`CoocMode::Deferred`] (the default) counts exactly and leaves
-    /// compression to [`AutoDetectConfig::sketch_fraction`];
-    /// [`CoocMode::Streaming`] bounds peak memory by streaming pair
-    /// counts into per-language count-min sketches auto-sized by
-    /// `adt_stats::streaming`, replacing the global `sketch_fraction`
-    /// heuristic (the two are mutually exclusive).
-    pub cooc: CoocMode,
     /// Detector set for ensemble scans, as canonical configuration names
     /// validated against [`crate::api::KNOWN_DETECTORS`]. The default
     /// single-member set runs Auto-Detect alone (no ensemble engine).
@@ -109,7 +103,6 @@ impl Default for AutoDetectConfig {
             max_distinct_values: 64,
             seed: 0xAD7_7EA1,
             sketch_fraction: None,
-            cooc: CoocMode::default(),
             detectors: vec!["autodetect".to_string()],
             merge: MergePolicy::default(),
             online_absorb_columns: 256,
@@ -157,12 +150,10 @@ impl AutoDetectConfig {
     }
 
     /// Pipeline options for offline training passes: the effective
-    /// thread count plus the configured co-occurrence mode, with
-    /// per-batch auto-sized streaming geometry.
+    /// thread count.
     pub fn train_pipeline_options(&self) -> PipelineOptions {
         PipelineOptions {
             threads: self.effective_train_threads(),
-            cooc: self.cooc,
             ..PipelineOptions::default()
         }
     }
@@ -209,13 +200,6 @@ impl AutoDetectConfig {
             if !(f > 0.0 && f <= 1.0) {
                 return fail(format!("sketch_fraction must be in (0, 1], got {f}"));
             }
-        }
-        if self.cooc == CoocMode::Streaming && self.sketch_fraction.is_some() {
-            return fail(
-                "cooc=streaming auto-sizes sketches per language; \
-                 it replaces sketch_fraction (unset one of the two)"
-                    .into(),
-            );
         }
         if self.online_absorb_columns == 0 {
             return fail("online_absorb_columns must be positive".into());
@@ -351,12 +335,10 @@ impl AutoDetectConfigBuilder {
         self
     }
 
-    /// Co-occurrence accumulation mode for training pipelines.
-    /// [`CoocMode::Streaming`] is incompatible with
-    /// [`Self::sketch_fraction`] (it replaces it); the combination is an
-    /// [`AdtError::Config`] at [`Self::build`].
-    pub fn cooc_mode(mut self, mode: CoocMode) -> Self {
-        self.config.cooc = mode;
+    /// Changes nothing: [`CoocMode`] has the one exact mode. Kept only
+    /// because the `perfbench/` train workload calls it; the
+    /// benchmark-harness change (ROADMAP item 5) deletes it.
+    pub fn cooc_mode(self, _mode: CoocMode) -> Self {
         self
     }
 
@@ -574,35 +556,18 @@ mod tests {
             .is_err());
     }
 
+    /// Deferred training (the only mode) takes any `sketch_fraction`
+    /// in `(0, 1]`, and `cooc_mode` leaves the configuration as it was.
     #[test]
-    fn streaming_mode_threads_through() {
+    fn sketch_fraction_builds_and_cooc_mode_is_a_no_op() {
         let c = AutoDetectConfig::builder()
-            .cooc_mode(CoocMode::Streaming)
+            .sketch_fraction(Some(0.5))
+            .cooc_mode(CoocMode::Deferred)
             .train_threads(3)
             .build()
             .unwrap();
-        assert_eq!(c.cooc, CoocMode::Streaming);
-        let opts = c.train_pipeline_options();
-        assert_eq!(opts.threads, 3);
-        assert_eq!(opts.cooc, CoocMode::Streaming);
-    }
-
-    #[test]
-    fn streaming_mode_rejects_conflicting_sketch_knobs() {
-        let err = AutoDetectConfig::builder()
-            .cooc_mode(CoocMode::Streaming)
-            .sketch_fraction(Some(0.1))
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(err, AdtError::Config(ref m) if m.contains("sketch_fraction")),
-            "{err}"
-        );
-        // Deferred (the default) compresses with sketch_fraction.
-        assert!(AutoDetectConfig::builder()
-            .sketch_fraction(Some(0.5))
-            .build()
-            .is_ok());
+        assert_eq!(c.sketch_fraction, Some(0.5));
+        assert_eq!(c.train_pipeline_options().threads, 3);
     }
 
     #[test]

@@ -685,67 +685,12 @@ mod tests {
         assert!(!good.incompatible);
     }
 
-    /// The streaming differential at the model level: `cooc=streaming`
-    /// trains byte-identically at every thread count and preserves the
-    /// compatible/incompatible ordering on the same pairs the
-    /// deferred-sketch test above pins.
-    #[test]
-    fn streaming_train_is_thread_invariant_and_preserves_ordering() {
-        let mut p = CorpusProfile::web(600);
-        p.dirty_rate = 0.0;
-        let corpus = generate_corpus(&p);
-        let mut reference: Option<Vec<u8>> = None;
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = AutoDetectConfig {
-                cooc: adt_stats::CoocMode::Streaming,
-                train_threads: threads,
-                ..quick_config()
-            };
-            let (model, report) = train(&corpus, &cfg).unwrap();
-            // Every candidate batch ran streaming and reported geometry.
-            assert!(report.pipeline.streaming_languages > 0);
-            assert!(report.pipeline.sketch_bytes > 0);
-            assert!(report.pipeline.sketch_error_bound_max > 0.0);
-            let mut bytes = Vec::new();
-            codec::write_model(&mut bytes, &model).unwrap();
-            match &reference {
-                Some(r) => assert_eq!(r, &bytes, "streaming train varies at {threads} threads"),
-                None => {
-                    // Count-min never undercounts: compatible pairs keep
-                    // their high scores, incompatible pairs stay below
-                    // them under every selected language.
-                    let bad = model.score_pair("2011-01-01", "2011/01/02");
-                    let good = model.score_pair("2011-01-01", "2012-03-04");
-                    for (b, g) in bad.scores.iter().zip(&good.scores) {
-                        assert!(b <= g, "streaming ordering broken: {b} > {g}");
-                    }
-                    assert!(!good.incompatible);
-                    reference = Some(bytes);
-                }
-            }
-        }
-    }
-
-    /// Golden digests of two trained models, recorded before the
-    /// co-occurrence knobs were consolidated: auto-sized streaming on the
-    /// 600-column corpus above, and deferred training compressed by
-    /// `sketch_fraction`. Any change to sketch geometry, hashing or the
-    /// sorted replay shows up here.
+    /// Golden digest of a deferred model compressed by `sketch_fraction`,
+    /// recorded before the co-occurrence knobs were consolidated. Any
+    /// change to sketch geometry, hashing or the sorted replay shows up
+    /// here.
     #[test]
     fn sketched_models_match_golden_digests() {
-        let mut p = CorpusProfile::web(600);
-        p.dirty_rate = 0.0;
-        let streaming = AutoDetectConfig {
-            cooc: adt_stats::CoocMode::Streaming,
-            ..quick_config()
-        };
-        let (model, _) = train(&generate_corpus(&p), &streaming).unwrap();
-        assert_eq!(
-            model_digest(&model),
-            0x45ba_10cc_b511_bbf9,
-            "streaming model drifted from the golden build"
-        );
-
         let fraction = AutoDetectConfig {
             sketch_fraction: Some(0.25),
             ..quick_config()

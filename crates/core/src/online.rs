@@ -258,14 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_bit_identical_streaming() {
-        assert_absorb_matches_scratch(AutoDetectConfig {
-            cooc: adt_stats::CoocMode::Streaming,
-            ..quick_config()
-        });
-    }
-
-    #[test]
     fn repeated_retrains_track_the_growing_union() {
         let corpus = quick_corpus(500);
         let cfg = quick_config();

@@ -156,19 +156,28 @@ mod tests {
         }
     }
 
+    /// Both strategies round-trip: training writes `Conservative`
+    /// sketches, and `Plain` ones still arrive in older model files.
     #[test]
     fn sketch_roundtrip_preserves_estimates() {
-        let mut cms = CountMinSketch::new(512, 4, UpdateStrategy::Conservative, 9);
-        for i in 0..2_000u64 {
-            cms.add(i * 7 + 1, (i % 5 + 1) as u32);
-        }
-        let mut buf = Vec::new();
-        cms.write_binary(&mut buf).unwrap();
-        let back = CountMinSketch::read_binary(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.total(), cms.total());
-        assert_eq!(back.width(), cms.width());
-        for i in 0..2_000u64 {
-            assert_eq!(back.estimate(i * 7 + 1), cms.estimate(i * 7 + 1));
+        for strategy in [UpdateStrategy::Plain, UpdateStrategy::Conservative] {
+            let mut cms = CountMinSketch::new(512, 4, strategy, 9);
+            for i in 0..2_000u64 {
+                cms.add(i * 7 + 1, (i % 5 + 1) as u32);
+            }
+            let mut buf = Vec::new();
+            cms.write_binary(&mut buf).unwrap();
+            let back = CountMinSketch::read_binary(&mut buf.as_slice()).unwrap();
+            assert_eq!(back.strategy(), strategy);
+            assert_eq!(back.total(), cms.total());
+            assert_eq!(back.width(), cms.width());
+            for i in 0..2_000u64 {
+                assert_eq!(
+                    back.estimate(i * 7 + 1),
+                    cms.estimate(i * 7 + 1),
+                    "{strategy:?}"
+                );
+            }
         }
     }
 

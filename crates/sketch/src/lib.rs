@@ -6,13 +6,11 @@
 //! one-sided error: estimates never undercount, and overestimate by at most
 //! `εN` with probability `1−δ`. Because co-occurrence counts in real table
 //! corpora follow a power law, the practical error is far below the
-//! worst-case bound; [`analysis`] quantifies that on observed data.
+//! worst-case bound.
 
-pub mod analysis;
 pub mod codec;
 pub mod countmin;
 pub mod hashing;
 
-pub use analysis::{error_profile, powerlaw_alpha, ErrorProfile};
 pub use codec::{read_f64, read_varint, write_f64, write_varint};
 pub use countmin::{CountMinSketch, UpdateStrategy};

@@ -156,7 +156,6 @@ mod tests {
             &PipelineOptions {
                 threads: 2,
                 lang_batch: 5, // force several batches
-                ..PipelineOptions::default()
             },
             |i, s, _| (i, s.language),
         )

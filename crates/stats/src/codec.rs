@@ -175,6 +175,7 @@ mod tests {
     use crate::store::SketchSpec;
     use adt_corpus::{Column, Corpus, SourceTag};
     use adt_patterns::Language;
+    use adt_sketch::UpdateStrategy;
 
     fn sample_corpus() -> Corpus {
         Corpus::from_columns(
@@ -216,24 +217,33 @@ mod tests {
         }
     }
 
+    /// Both update strategies round-trip: assembly writes `Conservative`
+    /// sketches, and `Plain` ones still arrive in older model files.
     #[test]
     fn sketched_roundtrip_preserves_scores() {
         let corpus = sample_corpus();
-        let mut stats =
-            LanguageStats::build(Language::paper_l2(), &corpus, &StatsConfig::default());
-        stats.compress_cooccurrence(SketchSpec {
-            budget_bytes: 1 << 14,
-            ..SketchSpec::default()
-        });
-        let mut buf = Vec::new();
-        stats.write_binary(&mut buf).unwrap();
-        let back = LanguageStats::read_binary(&mut buf.as_slice()).unwrap();
-        let params = crate::NpmiParams::default();
-        for (u, v) in [("1955", "7,000"), ("1955", "zz")] {
-            assert_eq!(
-                back.score_values(u, v, params),
-                stats.score_values(u, v, params)
-            );
+        for strategy in [UpdateStrategy::Plain, UpdateStrategy::Conservative] {
+            let mut stats =
+                LanguageStats::build(Language::paper_l2(), &corpus, &StatsConfig::default());
+            stats.compress_cooccurrence(SketchSpec {
+                budget_bytes: 1 << 14,
+                strategy,
+                ..SketchSpec::default()
+            });
+            let mut buf = Vec::new();
+            stats.write_binary(&mut buf).unwrap();
+            let back = LanguageStats::read_binary(&mut buf.as_slice()).unwrap();
+            let mut again = Vec::new();
+            back.write_binary(&mut again).unwrap();
+            assert!(again == buf, "{strategy:?} re-encodes differently");
+            let params = crate::NpmiParams::default();
+            for (u, v) in [("1955", "7,000"), ("1955", "zz")] {
+                assert_eq!(
+                    back.score_values(u, v, params),
+                    stats.score_values(u, v, params),
+                    "{strategy:?}"
+                );
+            }
         }
     }
 

@@ -106,8 +106,8 @@ impl LanguageStats {
         self.absorb_column_hashes(&mut hashes, config);
     }
 
-    /// The column-absorb tail shared by the per-language scan, the
-    /// streaming planner and the pipeline: prepares the column
+    /// The column-absorb tail shared by the per-language scan and the
+    /// pipeline: prepares the column
     /// ([`prepare_column_hashes`]) and counts it
     /// ([`LanguageStats::count_prepared_column`]). `hashes` holds one
     /// entry per distinct non-empty value (duplicate pattern hashes
@@ -271,26 +271,11 @@ impl LanguageStats {
         self.cooc.exact_entries()
     }
 
-    /// Sorted `(lo, hi, count)` co-occurrence entries, when exact (see
-    /// [`CoocBackend::exact_pair_entries`]).
-    pub fn exact_cooc_pairs(&self) -> Option<Vec<(u64, u64, u32)>> {
-        self.cooc.exact_pair_entries()
-    }
-
-    /// Co-occurrence backend footprint in bytes — the quantity the
-    /// streaming pipeline bounds (occurrence entries are linear and stay
-    /// exact in every mode).
+    /// Co-occurrence backend footprint in bytes — what the pipeline's
+    /// `peak_cooc_bytes` sums (occurrence entries are linear and always
+    /// exact).
     pub fn cooc_bytes(&self) -> usize {
         self.cooc.bytes()
-    }
-
-    /// The co-occurrence count-min sketch, when the backend is a sketch
-    /// (streaming accumulators or compressed builds).
-    pub fn cooc_sketch(&self) -> Option<&adt_sketch::CountMinSketch> {
-        match &self.cooc {
-            CoocBackend::Sketch(cms) => Some(cms),
-            CoocBackend::Exact(_) => None,
-        }
     }
 
     /// Occurrence dictionary accessor (codec support).

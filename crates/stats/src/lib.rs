@@ -12,13 +12,10 @@
 //! * [`pipeline`] — the corpus-major training pipeline: values are
 //!   interned once, generalized under whole language batches in one
 //!   traversal, and accumulated one task per language over every column
-//!   in column order, with no merge (bit-identical to the serial scan);
-//! * [`streaming`] — the opt-in bounded-memory co-occurrence mode:
-//!   each language's task streams pair counts into a count-min
-//!   accumulator auto-sized from observed pattern distributions. The
-//!   sketch geometry (depth, hash seed, target `ε`, width clamp) is
-//!   fixed there and nowhere else; the only co-occurrence choice callers
-//!   make is [`CoocMode`];
+//!   in column order, with no merge (bit-identical to the serial scan).
+//!   Pair counts are always exact there; training compresses the
+//!   selected languages into count-min sketches at model assembly when
+//!   its `sketch_fraction` is set;
 //! * [`build`] — batch construction entry points across candidate
 //!   languages, built on the pipeline;
 //! * [`fxhash`] — the vendored deterministic fast hasher keying the
@@ -36,14 +33,14 @@ pub mod npmi;
 pub mod pipeline;
 pub mod profile;
 pub mod store;
-pub mod streaming;
 
 pub use build::{collect_stats_for_languages, for_each_language_stats};
 pub use fxhash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use language_stats::{LanguageStats, NpmiMatrix, StatsConfig};
 pub use memo::NpmiMemo;
 pub use npmi::{npmi_from_counts, smoothed_cooccurrence, NpmiParams};
-pub use pipeline::{effective_threads, PipelineOptions, PipelineReport, StatsError, TrainPipeline};
+pub use pipeline::{
+    effective_threads, CoocMode, PipelineOptions, PipelineReport, StatsError, TrainPipeline,
+};
 pub use profile::{column_profile, ColumnProfile, PatternBucket};
 pub use store::{CoocBackend, SketchSpec};
-pub use streaming::CoocMode;

@@ -42,17 +42,12 @@
 //! drops its statistics (training's calibration does) keeps at most one
 //! accumulator per worker alive.
 //!
-//! The opt-in streaming mode ([`CoocMode::Streaming`]) additionally
-//! bounds the *co-occurrence* footprint: each language accumulates
-//! straight into a count-min sketch auto-sized from the observed
-//! pattern distributions (see [`crate::streaming`]), never
-//! materializing the exact pair table.
-//! Each sketch, too, sees its columns in the same order at any thread
-//! count, so the byte-identity guarantee holds there as well.
+//! Co-occurrence is always counted exactly here. Count-min compression
+//! (§3.4) happens later, at model assembly, for the selected languages
+//! only (`sketch_fraction` in training).
 
 use crate::fxhash::FxHashMap;
 use crate::language_stats::{prepare_column_hashes, LanguageStats, StatsConfig};
-use crate::streaming::{self, CoocMode, StreamingPlan};
 use adt_corpus::Corpus;
 use adt_patterns::{Language, MultiGeneralizer, PatternHash};
 use std::fmt;
@@ -75,12 +70,19 @@ pub struct PipelineOptions {
     /// workers whatever `threads` says; the default of 12 covers every
     /// caller in the tree.
     pub lang_batch: usize,
-    /// Co-occurrence accumulation mode. [`CoocMode::Deferred`] (the
-    /// default) accumulates exact pair dictionaries;
-    /// [`CoocMode::Streaming`] bounds accumulator memory with
-    /// per-language count-min sketches. Results stay
-    /// thread-count-independent in either mode.
-    pub cooc: CoocMode,
+}
+
+/// How the pipeline accumulates co-occurrence counts. There is one
+/// mode: exact pair dictionaries, compressed at model assembly when
+/// training's `sketch_fraction` is set.
+///
+/// Kept only because the `perfbench/` train workload names it; the
+/// benchmark-harness change (ROADMAP item 5) deletes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum CoocMode {
+    /// Exact pair dictionaries; peak memory is O(distinct pairs).
+    #[default]
+    Deferred,
 }
 
 impl Default for PipelineOptions {
@@ -88,7 +90,6 @@ impl Default for PipelineOptions {
         PipelineOptions {
             threads: 0,
             lang_batch: 12,
-            cooc: CoocMode::default(),
         }
     }
 }
@@ -148,51 +149,12 @@ pub struct PipelineReport {
     /// over workers: a share of `accumulate_nanos` per worker, so with
     /// several workers it can exceed that wall-clock figure.
     pub consume_nanos: u64,
-    /// Languages accumulated through streaming sketch accumulators.
-    pub streaming_languages: u64,
-    /// Streaming sketch depth (rows); `0` when streaming never ran.
-    pub sketch_depth: u64,
-    /// Smallest auto-sized streaming width; `0` when streaming never ran.
-    pub sketch_width_min: u64,
-    /// Largest auto-sized streaming width.
-    pub sketch_width_max: u64,
-    /// Total counter-table bytes across all streaming-sized languages
-    /// (one sketch per language).
-    pub sketch_bytes: u64,
     /// Largest per-batch sum of the batch's per-language co-occurrence
     /// accumulator bytes: an upper bound on the live accumulator bytes,
     /// reached when a consumer keeps every language of a batch (a
-    /// consumer that drops them holds at most one per worker). Tracked
-    /// in every mode so exact and streaming builds compare directly;
-    /// deterministic in both, and independent of the thread count.
+    /// consumer that drops them holds at most one per worker).
+    /// Deterministic, and independent of the thread count.
     pub peak_cooc_bytes: u64,
-    /// Smallest fitted power-law exponent among streaming languages with
-    /// a successful fit; `0` when none fitted.
-    pub powerlaw_alpha_min: f64,
-    /// Largest fitted power-law exponent among streaming languages.
-    pub powerlaw_alpha_max: f64,
-    /// Largest worst-case additive error bound `εN` over the streaming
-    /// sketches.
-    pub sketch_error_bound_max: f64,
-}
-
-/// Minimum over counters that use `0` as "unset".
-fn nonzero_min(a: u64, b: u64) -> u64 {
-    match (a, b) {
-        (0, x) | (x, 0) => x,
-        (x, y) => x.min(y),
-    }
-}
-
-/// Same, for the fitted exponents.
-fn nonzero_min_f64(a: f64, b: f64) -> f64 {
-    if a == 0.0 {
-        b
-    } else if b == 0.0 {
-        a
-    } else {
-        a.min(b)
-    }
 }
 
 impl PipelineReport {
@@ -202,9 +164,8 @@ impl PipelineReport {
     /// describe that one corpus, so they take the larger side (equal for
     /// two runs over it; a default report takes the other's) rather than
     /// counting it twice. Work counters add saturating — a report must
-    /// never wrap into nonsense on pathological inputs; `threads`, the
-    /// peak, and the max-bounds take the maximum, the `_min` fields the
-    /// smallest nonzero value (`0` means "never ran").
+    /// never wrap into nonsense on pathological inputs; `threads` and
+    /// the peak take the maximum.
     pub fn absorb(&mut self, other: &PipelineReport) {
         self.columns = self.columns.max(other.columns);
         self.value_occurrences = self.value_occurrences.max(other.value_occurrences);
@@ -223,20 +184,7 @@ impl PipelineReport {
         self.accumulate_nanos = self.accumulate_nanos.saturating_add(other.accumulate_nanos);
         self.merge_nanos = self.merge_nanos.saturating_add(other.merge_nanos);
         self.consume_nanos = self.consume_nanos.saturating_add(other.consume_nanos);
-        self.streaming_languages = self
-            .streaming_languages
-            .saturating_add(other.streaming_languages);
-        self.sketch_depth = self.sketch_depth.max(other.sketch_depth);
-        self.sketch_width_min = nonzero_min(self.sketch_width_min, other.sketch_width_min);
-        self.sketch_width_max = self.sketch_width_max.max(other.sketch_width_max);
-        self.sketch_bytes = self.sketch_bytes.saturating_add(other.sketch_bytes);
         self.peak_cooc_bytes = self.peak_cooc_bytes.max(other.peak_cooc_bytes);
-        self.powerlaw_alpha_min =
-            nonzero_min_f64(self.powerlaw_alpha_min, other.powerlaw_alpha_min);
-        self.powerlaw_alpha_max = self.powerlaw_alpha_max.max(other.powerlaw_alpha_max);
-        self.sketch_error_bound_max = self
-            .sketch_error_bound_max
-            .max(other.sketch_error_bound_max);
     }
 }
 
@@ -271,7 +219,6 @@ fn clock() -> Instant {
 pub struct TrainPipeline<'c> {
     threads: usize,
     lang_batch: usize,
-    cooc: CoocMode,
     /// Interned values: the corpus-wide distinct non-empty values first,
     /// then the probe values no column holds.
     values: Vec<&'c str>,
@@ -345,7 +292,6 @@ impl<'c> TrainPipeline<'c> {
         Ok(TrainPipeline {
             threads,
             lang_batch: opts.lang_batch.max(1),
-            cooc: opts.cooc,
             values,
             corpus_values,
             probe_ids,
@@ -363,26 +309,6 @@ impl<'c> TrainPipeline<'c> {
     /// Effective language batch size.
     pub fn lang_batch(&self) -> usize {
         self.lang_batch
-    }
-
-    /// Folds one batch's streaming plan into the report counters.
-    fn record_plan(&mut self, plan: &StreamingPlan) {
-        let r = &mut self.report;
-        r.streaming_languages = r
-            .streaming_languages
-            .saturating_add(plan.widths.len() as u64);
-        r.sketch_depth = r.sketch_depth.max(streaming::DEPTH as u64);
-        for (&w, &a) in plan.widths.iter().zip(plan.alphas.iter()) {
-            r.sketch_width_min = nonzero_min(r.sketch_width_min, w as u64);
-            r.sketch_width_max = r.sketch_width_max.max(w as u64);
-            r.sketch_bytes = r
-                .sketch_bytes
-                .saturating_add(streaming::sketch_table_bytes(w, streaming::DEPTH) as u64);
-            if a > 0.0 {
-                r.powerlaw_alpha_min = nonzero_min_f64(r.powerlaw_alpha_min, a);
-                r.powerlaw_alpha_max = r.powerlaw_alpha_max.max(a);
-            }
-        }
     }
 
     /// Runs every language in `languages` through the pipeline in batches
@@ -462,26 +388,6 @@ impl<'c> TrainPipeline<'c> {
         }
         self.report.generalize_nanos += t0.elapsed().as_nanos() as u64;
 
-        // Streaming only: fix per-language sketch geometry from the
-        // deterministic interned layout before any worker spawns. Plans
-        // depend only on the corpus rows of the matrix and the language —
-        // never on scheduling or probes — so streamed results stay
-        // byte-identical at any thread count and batch size.
-        let plan = match self.cooc {
-            CoocMode::Streaming => Some(streaming::plan_batch(
-                batch,
-                matrix.get(..self.corpus_values * k).unwrap_or_default(),
-                self.corpus_values,
-                &self.col_offsets,
-                &self.col_ids,
-                config,
-            )),
-            CoocMode::Deferred => None,
-        };
-        if let Some(plan) = plan.as_ref() {
-            self.record_plan(plan);
-        }
-
         // Phase 3: one task per batch language. Each builds its
         // language's accumulator over every column in column order — the
         // order of the serial per-language build — so no second
@@ -498,25 +404,18 @@ impl<'c> TrainPipeline<'c> {
             let col_offsets = &self.col_offsets;
             let col_ids = &self.col_ids;
             let probe_ids = &self.probe_ids;
-            let plan = plan.as_ref();
             let consume_nanos = &consume_nanos;
             for_each_slot(batch.to_vec(), self.threads, "accumulate", |j, language| {
                 let hash = |id: u32| matrix.get(id as usize * k + j).copied();
-                let mut stats = match plan {
-                    Some(p) => {
-                        streaming::accumulator(language, p.widths.get(j).copied().unwrap_or(1))
-                    }
-                    None => LanguageStats::empty(language),
-                };
+                let mut stats = LanguageStats::empty(language);
                 accumulate_columns(&mut stats, hash, col_offsets, col_ids, config);
                 let cooc_bytes = stats.cooc_bytes() as u64;
-                let error_bound = stats.cooc_sketch().map_or(0.0, |cms| cms.error_bound());
                 let probe_hashes: Vec<PatternHash> =
                     probe_ids.iter().filter_map(|&id| hash(id)).collect();
                 let t = clock();
                 let r = f(offset + j, stats, &probe_hashes);
                 consume_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                (r, cooc_bytes, error_bound)
+                (r, cooc_bytes)
             })?
         };
         self.report.accumulate_nanos += t1.elapsed().as_nanos() as u64;
@@ -524,20 +423,15 @@ impl<'c> TrainPipeline<'c> {
 
         // The batch's accumulators summed: what phase 3 would hold if
         // every task ran at once, so an upper bound on the live bytes.
-        let live: u64 = done.iter().map(|&(_, bytes, _)| bytes).sum();
+        let live: u64 = done.iter().map(|&(_, bytes)| bytes).sum();
         self.report.peak_cooc_bytes = self.report.peak_cooc_bytes.max(live);
-        // Record the worst-case `εN` the streaming geometry implies
-        // (exact backends report 0).
-        for &(_, _, bound) in &done {
-            self.report.sketch_error_bound_max = self.report.sketch_error_bound_max.max(bound);
-        }
 
         self.report.batches += 1;
         self.report.languages += k as u64;
         self.report.generalizations_performed += n_values as u64 * k as u64;
         self.report.generalizations_saved +=
             (self.col_ids.len() as u64).saturating_sub(self.corpus_values as u64) * k as u64;
-        Ok(done.into_iter().map(|(r, _, _)| r).collect())
+        Ok(done.into_iter().map(|(r, _)| r).collect())
     }
 }
 
@@ -667,7 +561,6 @@ mod tests {
                 let opts = PipelineOptions {
                     threads,
                     lang_batch,
-                    ..PipelineOptions::default()
                 };
                 let mut pipe = TrainPipeline::new(corpus, &[], &opts).unwrap();
                 let got = pipe.run(languages, config, |_, s, _| s).unwrap();
@@ -740,7 +633,6 @@ mod tests {
         let opts = PipelineOptions {
             threads: 4,
             lang_batch: 1,
-            ..PipelineOptions::default()
         };
         let mut pipe = TrainPipeline::new(&corpus, &[], &opts).unwrap();
         let got = pipe.run(&langs, &config, |_, s, _| s).unwrap();
@@ -776,7 +668,6 @@ mod tests {
             let opts = PipelineOptions {
                 threads,
                 lang_batch,
-                ..PipelineOptions::default()
             };
             let mut pipe = TrainPipeline::new(&corpus, &[], &opts).unwrap();
             let _ = pipe.run(&langs, &config, |_, s, _| s.n_columns).unwrap();
@@ -980,7 +871,6 @@ mod tests {
         let opts = PipelineOptions {
             threads: 2,
             lang_batch: 4,
-            ..PipelineOptions::default()
         };
         let mut pipe = TrainPipeline::new(&corpus, &[], &opts).unwrap();
         let _ = pipe
@@ -1027,231 +917,30 @@ mod tests {
         assert_eq!(a.consume_nanos, 750);
     }
 
-    /// Streaming accumulation must be byte-identical at any thread count
-    /// and batch size (plain sketch updates commute), keep the exact
-    /// occurrence side untouched, and keep the measured sketch error
-    /// within the worst-case bound its auto-sized geometry reports.
     #[test]
-    fn streaming_differential_and_error_profile() {
-        let corpus = mixed_corpus();
-        let langs = enumerate_coarse_languages();
-        let config = StatsConfig::default();
-        let exact = collect_stats_reference(&langs, &corpus, &config, 2).unwrap();
-        let mut reference: Option<Vec<Vec<u8>>> = None;
-        for threads in [1, 2, 4, 8] {
-            for lang_batch in [3, 64] {
-                let opts = PipelineOptions {
-                    threads,
-                    lang_batch,
-                    cooc: CoocMode::Streaming,
-                };
-                let mut pipe = TrainPipeline::new(&corpus, &[], &opts).unwrap();
-                let got = pipe.run(&langs, &config, |_, s, _| s).unwrap();
-                let bytes: Vec<Vec<u8>> = got.iter().map(stats_bytes).collect();
-                if let Some(r) = reference.as_ref() {
-                    assert_eq!(
-                        *r, bytes,
-                        "streaming diverged at threads={threads} lang_batch={lang_batch}"
-                    );
-                    continue;
-                }
-                // First build: validate against the exact reference.
-                let report = *pipe.report();
-                assert_eq!(report.streaming_languages, langs.len() as u64);
-                assert!(report.sketch_width_min >= 1);
-                assert!(report.sketch_width_max >= report.sketch_width_min);
-                assert!(report.sketch_depth >= 1);
-                assert!(report.sketch_bytes > 0);
-                assert!(report.peak_cooc_bytes > 0);
-                for (s, e) in got.iter().zip(&exact) {
-                    assert_eq!(s.language, e.language);
-                    assert_eq!(s.n_columns, e.n_columns);
-                    assert_eq!(s.distinct_patterns(), e.distinct_patterns());
-                    let cms = s.cooc_sketch().expect("streaming backend is a sketch");
-                    let pairs = e.exact_cooc_pairs().expect("reference backend is exact");
-                    let keyed: Vec<(u64, u64)> = pairs
-                        .iter()
-                        .map(|&(lo, hi, n)| (adt_sketch::hashing::pair_key(lo, hi), n as u64))
-                        .collect();
-                    let prof = adt_sketch::error_profile(cms, &keyed);
-                    // The (ε, δ) guarantee is per key: the additive
-                    // error stays under εN with probability 1 − e⁻ᵈᵉᵖᵗʰ.
-                    // Assert the aggregate form (same convention as the
-                    // sketch crate's own bound test): the mean is within
-                    // the bound and violating keys are rare.
-                    let bound = prof.theoretical_bound.max(1.0);
-                    assert!(
-                        prof.mean_error <= bound,
-                        "{:?}: mean_error {} beyond bound {bound}",
-                        s.language,
-                        prof.mean_error
-                    );
-                    let violations = keyed
-                        .iter()
-                        .filter(|&&(k, n)| (cms.estimate(k).saturating_sub(n)) as f64 > bound)
-                        .count();
-                    let allowed = (keyed.len() as f64 * 0.05).ceil() as usize;
-                    assert!(
-                        violations <= allowed.max(1),
-                        "{:?}: {violations}/{} keys beyond bound {bound}",
-                        s.language,
-                        keyed.len()
-                    );
-                }
-                reference = Some(bytes);
-            }
-        }
-    }
-
-    /// The streaming pipeline's report must reflect the plan: per-batch
-    /// widths inside the configured clamp, peak bytes matching the
-    /// bounded accumulators, an error bound from the merged sketches.
-    #[test]
-    fn streaming_report_records_geometry() {
-        let corpus = mixed_corpus();
-        let langs = enumerate_coarse_languages();
-        let opts = PipelineOptions {
-            threads: 2,
-            cooc: CoocMode::Streaming,
-            ..PipelineOptions::default()
-        };
-        let mut pipe = TrainPipeline::new(&corpus, &[], &opts).unwrap();
-        let _ = pipe
-            .run(&langs, &StatsConfig::default(), |_, s, _| s)
-            .unwrap();
-        let r = pipe.report();
-        assert_eq!(r.streaming_languages, langs.len() as u64);
-        assert!(r.sketch_width_min >= crate::streaming::MIN_WIDTH as u64);
-        assert!(r.sketch_width_max <= crate::streaming::MAX_WIDTH as u64);
-        assert_eq!(r.sketch_depth, crate::streaming::DEPTH as u64);
-        assert!(r.sketch_error_bound_max > 0.0);
-        // Peak: one accumulator per batch language, each bounded by the
-        // largest planned table.
-        let per_table = crate::streaming::sketch_table_bytes(
-            r.sketch_width_max as usize,
-            r.sketch_depth as usize,
-        ) as u64;
-        assert!(r.peak_cooc_bytes <= pipe.lang_batch() as u64 * per_table);
-    }
-
-    /// A duplicate-heavy web-table-style corpus: 100-cell columns
-    /// drawing from a 16-value window of a shared 64-value family pool
-    /// (dates, currency, codes, decimals), from a fixed-seed LCG.
-    fn web_like_corpus(columns: usize) -> Corpus {
-        type Family = fn(usize) -> String;
-        let families: [Family; 4] = [
-            |i| format!("{:02}/{:02}/20{:02}", i % 12 + 1, i % 28 + 1, i % 20),
-            |i| format!("${}.{:02}", 10 + i % 90, i % 100),
-            |i| format!("AB-{:04}", 1000 + i * 7 % 9000),
-            |i| format!("{}.{:03}", i % 50, i * 13 % 1000),
-        ];
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        let cols = (0..columns)
-            .map(|c| {
-                let fam = families[c % families.len()];
-                let window = next() % 64;
-                let vals: Vec<String> =
-                    (0..100).map(|_| fam((window + next() % 16) % 64)).collect();
-                Column::new(vals, SourceTag::Web)
-            })
-            .collect();
-        Corpus::from_columns(cols)
-    }
-
-    /// The streaming mode's bounded-memory promise on a fixed 320-column
-    /// corpus at 4 threads: its peak accumulator bytes stay under a fixed
-    /// 256 KiB that the exact (Deferred) build exceeds, at no more than a
-    /// quarter of the exact peak, and its stats are byte-identical at
-    /// 1/2/4/8 threads. Peaks are byte counts, not times, so the bound is
-    /// exact on any machine.
-    #[test]
-    fn streaming_peak_stays_under_a_fixed_bound() {
-        const BOUND: u64 = 256 * 1024;
-        let corpus = web_like_corpus(320);
-        let langs = enumerate_coarse_languages();
-        let config = StatsConfig::default();
-        let peak = |cooc, threads| {
-            let opts = PipelineOptions {
-                threads,
-                cooc,
-                ..PipelineOptions::default()
-            };
-            let mut pipe = TrainPipeline::new(&corpus, &[], &opts).unwrap();
-            let bytes: Vec<Vec<u8>> = pipe
-                .run(&langs, &config, |_, s, _| stats_bytes(&s))
-                .unwrap();
-            (pipe.report().peak_cooc_bytes, bytes)
-        };
-        let (exact, _) = peak(CoocMode::Deferred, 4);
-        let (streaming, expect) = peak(CoocMode::Streaming, 4);
-        assert!(
-            streaming <= BOUND,
-            "streaming peak {streaming} B exceeds the {BOUND} B bound"
-        );
-        assert!(
-            exact > BOUND,
-            "exact peak {exact} B no longer exceeds {BOUND} B: retune the bound"
-        );
-        assert!(
-            streaming * 4 <= exact,
-            "streaming peak {streaming} B above 25% of exact {exact} B"
-        );
-        for threads in [1, 2, 8] {
-            let (_, got) = peak(CoocMode::Streaming, threads);
-            assert!(got == expect, "streaming stats differ at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn report_absorb_saturates_and_merges_streaming_fields() {
+    fn report_absorb_saturates_and_keeps_the_peak() {
         let mut a = PipelineReport {
             languages: u64::MAX - 1,
-            sketch_width_max: 128,
-            sketch_depth: 4,
+            generalizations_saved: 3,
             peak_cooc_bytes: 10,
-            powerlaw_alpha_max: 1.5,
-            sketch_error_bound_max: 3.0,
             ..PipelineReport::default()
         };
         let b = PipelineReport {
             languages: 5,
-            streaming_languages: 3,
-            sketch_width_min: 64,
-            sketch_width_max: 96,
-            sketch_depth: 2,
-            sketch_bytes: 1024,
+            generalizations_saved: u64::MAX,
             peak_cooc_bytes: 7,
-            powerlaw_alpha_min: 2.0,
-            powerlaw_alpha_max: 2.5,
-            sketch_error_bound_max: 1.0,
             ..PipelineReport::default()
         };
         a.absorb(&b);
         assert_eq!(a.languages, u64::MAX, "adds saturate instead of wrapping");
-        assert_eq!(a.streaming_languages, 3);
-        assert_eq!(a.sketch_width_min, 64, "zero means unset");
-        assert_eq!(a.sketch_width_max, 128);
-        assert_eq!(a.sketch_depth, 4);
-        assert_eq!(a.sketch_bytes, 1024);
+        assert_eq!(a.generalizations_saved, u64::MAX);
         assert_eq!(a.peak_cooc_bytes, 10, "peak takes the max");
-        assert_eq!(a.powerlaw_alpha_min, 2.0);
-        assert_eq!(a.powerlaw_alpha_max, 2.5);
-        assert_eq!(a.sketch_error_bound_max, 3.0);
-        let mut c = PipelineReport {
-            sketch_width_min: 96,
-            ..PipelineReport::default()
-        };
-        c.absorb(&PipelineReport {
-            sketch_width_min: 64,
-            ..PipelineReport::default()
-        });
-        assert_eq!(c.sketch_width_min, 64);
+        let mut c = PipelineReport::default();
+        c.absorb(&b);
+        assert_eq!(
+            c.peak_cooc_bytes, 7,
+            "a default report takes the other's peak"
+        );
     }
 
     /// A consumer runs on the task that accumulates its language, so its

@@ -98,21 +98,6 @@ impl CoocBackend {
         }
     }
 
-    /// Sorted `(lo, hi, count)` entries of an exact backend (`None` for
-    /// sketches). Error-profile tooling replays these against a sketch
-    /// built from the same corpus to measure real overestimates.
-    pub fn exact_pair_entries(&self) -> Option<Vec<(u64, u64, u32)>> {
-        match self {
-            CoocBackend::Exact(map) => {
-                let mut entries: Vec<(u64, u64, u32)> =
-                    map.iter().map(|(&(lo, hi), &c)| (lo, hi, c)).collect();
-                entries.sort_unstable();
-                Some(entries)
-            }
-            CoocBackend::Sketch(_) => None,
-        }
-    }
-
     /// Converts an exact backend into a sketch of the given geometry by
     /// replaying all entries; no-op on an existing sketch.
     ///

@@ -5,18 +5,13 @@
 # check the swap is visible as a generation bump and, in GET /v1/stats,
 # as `learn.swaps >= 1` with `learn.errors == 0`.
 #
-#   scripts/learn_smoke.sh path/to/autodetect [deferred|streaming]
-#
-# The optional second argument is the --cooc mode for both the seed
-# training and the learner (default deferred); streaming runs the
-# learner's retrains through streaming training inside serve.
+#   scripts/learn_smoke.sh path/to/autodetect
 #
 # Exits non-zero if any step fails, if the learner never swaps or counts
 # an error, or if the server does not exit cleanly after `stop`.
 set -eu
 
-BIN=${1:?usage: learn_smoke.sh path/to/autodetect-binary [deferred|streaming]}
-COOC=${2:-deferred}
+BIN=${1:?usage: learn_smoke.sh path/to/autodetect-binary}
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/adt-learn-smoke.XXXXXX")
 SERVER_PID=""
 
@@ -26,11 +21,11 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "== learn smoke: training a miniature model (--cooc $COOC)"
+echo "== learn smoke: training a miniature model"
 "$BIN" gen-corpus --columns 600 --out "$WORK/seed.jsonl" >/dev/null 2>&1
 mkdir -p "$WORK/models"
 "$BIN" train --corpus "$WORK/seed.jsonl" --examples 2000 --space coarse \
-    --cooc "$COOC" --out "$WORK/models/default.bin" >/dev/null 2>&1
+    --out "$WORK/models/default.bin" >/dev/null 2>&1
 
 # A small delta the queries upload; one row per scan keeps each tap
 # under the learn queue's batch granularity.
@@ -46,7 +41,7 @@ echo "== learn smoke: starting server with the learn loop on"
 "$BIN" serve --models "$WORK/models" --addr 127.0.0.1:0 \
     --learn --learn-absorb 6 --learn-interval 3600 \
     --learn-seed "$WORK/seed.jsonl" --examples 2000 --space coarse \
-    --cooc "$COOC" > "$WORK/serve.out" 2> "$WORK/serve.err" &
+    > "$WORK/serve.out" 2> "$WORK/serve.err" &
 SERVER_PID=$!
 
 ADDR=""
@@ -125,4 +120,4 @@ if ! wait "$SERVER_PID"; then
 fi
 SERVER_PID=""
 kill "$WATCHDOG" 2>/dev/null || true
-echo "learn smoke OK (--cooc $COOC)"
+echo "learn smoke OK"

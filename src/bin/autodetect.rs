@@ -29,7 +29,7 @@ mod cli {
 
     /// Options that take a value; everything else starting with `--` is a
     /// boolean flag.
-    pub const VALUED: [&str; 25] = [
+    pub const VALUED: [&str; 24] = [
         "--out",
         "--model",
         "--corpus",
@@ -43,7 +43,6 @@ mod cli {
         "--space",
         "--threads",
         "--train-threads",
-        "--cooc",
         "--models",
         "--addr",
         "--workers",
@@ -131,13 +130,6 @@ mod cli {
         }
 
         #[test]
-        fn cooc_takes_a_value() {
-            let a = parse(&raw(&["train", "--cooc", "streaming"])).unwrap();
-            assert_eq!(a.opt_or("--cooc", "deferred"), "streaming");
-            assert!(parse(&raw(&["train", "--cooc"])).is_err());
-        }
-
-        #[test]
         fn unknown_option_is_an_error() {
             let err = parse(&raw(&["scan", "f.csv", "--theads", "4"])).unwrap_err();
             assert!(err.contains("--theads"), "{err}");
@@ -167,8 +159,7 @@ USAGE:
   autodetect gen-corpus [--profile web|wiki|pubxls|entxls] [--columns N] --out FILE
   autodetect train [--corpus FILE] [--columns N] [--examples N]
                    [--budget BYTES] [--precision P] [--space full|coarse]
-                   [--train-threads N] [--cooc deferred|streaming]
-                   [--out MODEL.bin]
+                   [--train-threads N] [--out MODEL.bin]
   autodetect scan FILE.csv --model MODEL.bin [--delimiter C] [--no-header]
                   [--top N] [--threads N] [--stream]
                   [--detectors NAME,NAME,…] [--merge union|vote:K|calibrated]
@@ -178,7 +169,6 @@ USAGE:
                    [--learn] [--learn-model NAME] [--learn-absorb N]
                    [--learn-interval SECS] [--learn-queue N]
                    [--learn-seed CORPUS] [--space full|coarse] [--examples N]
-                   [--cooc deferred|streaming]
   autodetect query FILE.csv --addr HOST:PORT [--model NAME]
                    [--delimiter C] [--no-header] [--top N] [--learn]
                    [--detectors NAME,NAME,…] [--merge union|vote:K|calibrated]
@@ -189,13 +179,9 @@ Without --corpus, `train` generates a synthetic web-table corpus
 structure. Training runs the corpus-major pipeline (--train-threads,
 default all cores, one worker per language of a 12-language batch);
 the trained model is identical at any thread count and is written to
---out (default model.bin) in the binary model format that `scan`, `check` and `serve` read. --cooc picks
-the co-occurrence accumulation mode: deferred (default) keeps exact
-pair counts in the pipeline and the model, and streaming bounds peak
-training memory by accumulating straight into per-language count-min
-sketches auto-sized from the observed pattern distributions — for
-corpora whose exact pair tables would not fit in memory. With --learn,
---cooc picks the mode of the learner's retrains.
+--out (default model.bin) in the binary model format that `scan`,
+`check` and `serve` read. Training counts pattern pairs exactly; its
+`pipeline:` report line gives the largest batch's pair-table bytes.
 
 `scan` audits every column of a delimited file through the parallel
 scan engine (--threads, default all cores) and prints ranked
@@ -261,16 +247,6 @@ fn cmd_gen_corpus(args: &cli::Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--cooc` for the train and serve-learn paths.
-fn cooc_mode(args: &cli::Args) -> Result<auto_detect::stats::CoocMode, String> {
-    use auto_detect::stats::CoocMode;
-    match args.opt_or("--cooc", "deferred") {
-        "deferred" => Ok(CoocMode::Deferred),
-        "streaming" => Ok(CoocMode::Streaming),
-        other => Err(format!("unknown --cooc {other:?} (deferred|streaming)")),
-    }
-}
-
 fn cmd_train(args: &cli::Args) -> Result<(), String> {
     let corpus = match args.options.get("--corpus") {
         Some(path) => Corpus::load(path).map_err(|e| format!("loading {path}: {e}"))?,
@@ -291,7 +267,6 @@ fn cmd_train(args: &cli::Args) -> Result<(), String> {
         .precision_target(args.num("--precision", 0.95f64)?)
         .space(space)
         .train_threads(args.num("--train-threads", 0usize)?)
-        .cooc_mode(cooc_mode(args)?)
         .build()
         .map_err(|e| e.to_string())?;
     eprintln!(
@@ -304,12 +279,14 @@ fn cmd_train(args: &cli::Args) -> Result<(), String> {
     let p = &report.pipeline;
     eprintln!(
         "pipeline: {} columns, {} distinct values interned ({} occurrences), \
-         {} generalizations performed, {} saved vs per-column rescan",
+         {} generalizations performed, {} saved vs per-column rescan, \
+         peak cooc tables {} KB",
         p.columns,
         p.interned_values,
         p.value_occurrences,
         p.generalizations_performed,
-        p.generalizations_saved
+        p.generalizations_saved,
+        p.peak_cooc_bytes / 1024
     );
     // Each language is consumed on the task that accumulates it, so the
     // accumulate figure includes consumption; the consumer's own time is
@@ -322,19 +299,6 @@ fn cmd_train(args: &cli::Args) -> Result<(), String> {
         p.accumulate_nanos as f64 / 1e9,
         p.consume_nanos as f64 / 1e9
     );
-    if p.streaming_languages > 0 {
-        eprintln!(
-            "streaming cooc: {} languages sketched, widths {}..={} × depth {}, \
-             {} KB of sketch tables, peak accumulators {} KB, worst-case εN {:.1}",
-            p.streaming_languages,
-            p.sketch_width_min,
-            p.sketch_width_max,
-            p.sketch_depth,
-            p.sketch_bytes / 1024,
-            p.peak_cooc_bytes / 1024,
-            p.sketch_error_bound_max
-        );
-    }
     eprintln!(
         "selected {} languages {:?}, model {} KB, training precision target {}",
         model.num_languages(),
@@ -529,7 +493,6 @@ fn learn_config(args: &cli::Args) -> Result<Option<auto_detect::serve::LearnConf
         .training_examples(args.num("--examples", 4_000usize)?)
         .online_absorb_columns(args.num("--learn-absorb", 256usize)?)
         .online_interval_secs(args.num("--learn-interval", 60u64)?)
-        .cooc_mode(cooc_mode(args)?)
         .build()
         .map_err(|e| e.to_string())?;
     let mut learn = LearnConfig::new(train);
@@ -741,28 +704,5 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-#[cfg(test)]
-mod cooc_flag_tests {
-    use super::*;
-
-    fn parse(s: &[&str]) -> cli::Args {
-        cli::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>()).unwrap()
-    }
-
-    #[test]
-    fn cooc_mode_parses_and_rejects() {
-        use auto_detect::stats::CoocMode;
-        assert_eq!(
-            cooc_mode(&parse(&["train", "--cooc", "streaming"])).unwrap(),
-            CoocMode::Streaming
-        );
-        assert_eq!(cooc_mode(&parse(&["train"])).unwrap(), CoocMode::Deferred);
-        let err = cooc_mode(&parse(&["train", "--cooc", "fast"])).unwrap_err();
-        assert!(err.contains("--cooc"), "{err}");
-        let err = cooc_mode(&parse(&["train", "--cooc", "exact"])).unwrap_err();
-        assert!(err.contains("deferred|streaming"), "{err}");
     }
 }
