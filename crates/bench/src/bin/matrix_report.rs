@@ -3,8 +3,8 @@
 //! Trains a small coarse-space model on a clean synthetic web corpus,
 //! builds one scenario per injected error class, runs each requested
 //! detector over every scenario, and writes `BENCH_matrix.json` with
-//! per-cell pooled precision@k plus the per-detector micro-averaged
-//! priors the `calibrated` merge policy consumes, through
+//! per-cell pooled precision@k plus each detector's micro-averaged
+//! precision prior (reported only; no merge policy reads it), through
 //! `adt_serve::json` (which writes any non-finite number as `null`).
 //!
 //!   matrix_report [--quick] [--threads N] [--out PATH]
@@ -12,7 +12,7 @@
 //! `--quick` shrinks the training corpus, the scenario sizes, and the
 //! detector set to four methods — the CI smoke configuration
 //! (`scripts/matrix_report.sh quick`). Quick-mode precision numbers are
-//! noisy; use the full run for real calibration priors.
+//! noisy; use the full run for per-detector precision worth reading.
 
 use adt_bench::reports::rounded;
 use adt_core::config::LanguageSpace;

@@ -304,28 +304,10 @@ impl DetectorSpec {
     }
 
     /// Parses a comma-separated detector list (`"autodetect,fregex,cdm"`),
-    /// rejecting empties, duplicates, and unknown names.
+    /// rejecting empties, duplicates, and unknown names through
+    /// [`crate::ensemble::parse_ensemble`].
     pub fn parse_list(raw: &str) -> Result<Vec<Self>, AdtError> {
-        let mut specs: Vec<DetectorSpec> = Vec::new();
-        for part in raw.split(',') {
-            if part.trim().is_empty() {
-                return Err(AdtError::Config(format!(
-                    "empty detector name in list '{raw}'"
-                )));
-            }
-            let spec = DetectorSpec::parse(part)?;
-            if specs.contains(&spec) {
-                return Err(AdtError::Config(format!(
-                    "duplicate detector '{}' in list '{raw}'",
-                    spec.name
-                )));
-            }
-            specs.push(spec);
-        }
-        if specs.is_empty() {
-            return Err(AdtError::Config("empty detector list".into()));
-        }
-        Ok(specs)
+        crate::ensemble::parse_ensemble(raw.split(','), None).map(|(specs, _)| specs)
     }
 
     /// The canonical lowercase name.

@@ -1,7 +1,5 @@
 //! Training and detection configuration.
 
-use crate::api::DetectorSpec;
-use crate::ensemble::MergePolicy;
 use crate::error::AdtError;
 use adt_stats::{CoocMode, NpmiParams, PipelineOptions, SketchSpec, StatsConfig};
 
@@ -68,21 +66,6 @@ pub struct AutoDetectConfig {
     /// the training pipeline always counts pairs exactly, and only the
     /// assembled model is compressed, as in the paper's §3.4.
     pub sketch_fraction: Option<f64>,
-    /// Detector set for ensemble scans, as canonical configuration names
-    /// validated against [`crate::api::KNOWN_DETECTORS`]. The default
-    /// single-member set runs Auto-Detect alone (no ensemble engine).
-    pub detectors: Vec<String>,
-    /// How per-detector rankings are merged when more than one detector
-    /// is configured.
-    pub merge: MergePolicy,
-    /// Online learning: retrain once this many columns have been
-    /// absorbed since the last retrain (the serve learn loop's count
-    /// threshold).
-    pub online_absorb_columns: usize,
-    /// Online learning: retrain after this many seconds with at least
-    /// one absorbed-but-untrained column (the serve learn loop's time
-    /// threshold).
-    pub online_interval_secs: u64,
 }
 
 impl Default for AutoDetectConfig {
@@ -103,10 +86,6 @@ impl Default for AutoDetectConfig {
             max_distinct_values: 64,
             seed: 0xAD7_7EA1,
             sketch_fraction: None,
-            detectors: vec!["autodetect".to_string()],
-            merge: MergePolicy::default(),
-            online_absorb_columns: 256,
-            online_interval_secs: 60,
         }
     }
 }
@@ -201,56 +180,7 @@ impl AutoDetectConfig {
                 return fail(format!("sketch_fraction must be in (0, 1], got {f}"));
             }
         }
-        if self.online_absorb_columns == 0 {
-            return fail("online_absorb_columns must be positive".into());
-        }
-        if self.online_interval_secs == 0 {
-            return fail("online_interval_secs must be positive".into());
-        }
-        let mut specs: Vec<DetectorSpec> = Vec::with_capacity(self.detectors.len());
-        for name in &self.detectors {
-            let spec = DetectorSpec::parse(name)?;
-            if specs.contains(&spec) {
-                return fail(format!("duplicate detector '{}'", spec.name()));
-            }
-            specs.push(spec);
-        }
-        if specs.is_empty() {
-            return fail("detectors must name at least one detector".into());
-        }
-        match &self.merge {
-            MergePolicy::Union => {}
-            MergePolicy::Vote(k) => {
-                if *k < 1 {
-                    return fail("vote merge threshold must be at least 1".into());
-                }
-                if *k > specs.len() {
-                    return fail(format!(
-                        "vote merge threshold {k} exceeds the {} configured detector(s)",
-                        specs.len()
-                    ));
-                }
-            }
-            MergePolicy::Calibrated(priors) => {
-                for (name, weight) in priors {
-                    DetectorSpec::parse(name)?;
-                    if !(weight.is_finite() && *weight > 0.0) {
-                        return fail(format!(
-                            "calibrated prior for '{name}' must be a positive finite weight, got {weight}"
-                        ));
-                    }
-                }
-            }
-        }
         Ok(())
-    }
-
-    /// The validated, normalized detector specs this configuration names.
-    pub fn detector_specs(&self) -> Result<Vec<DetectorSpec>, AdtError> {
-        self.detectors
-            .iter()
-            .map(|n| DetectorSpec::parse(n))
-            .collect()
     }
 }
 
@@ -342,41 +272,6 @@ impl AutoDetectConfigBuilder {
         self
     }
 
-    /// Detector set for ensemble scans by canonical configuration name
-    /// (`"autodetect"`, `"fregex"`, …). Unknown names, duplicates, and
-    /// an empty set are [`AdtError::Config`] errors at [`Self::build`].
-    pub fn detectors<I, S>(mut self, names: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.config.detectors = names.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Merge policy pooling per-detector rankings. A `vote:k` threshold
-    /// larger than the detector set is an [`AdtError::Config`] error at
-    /// [`Self::build`].
-    pub fn merge_policy(mut self, merge: MergePolicy) -> Self {
-        self.config.merge = merge;
-        self
-    }
-
-    /// Online learning: columns absorbed since the last retrain that
-    /// trigger the next one. Zero is an [`AdtError::Config`] error at
-    /// [`Self::build`].
-    pub fn online_absorb_columns(mut self, columns: usize) -> Self {
-        self.config.online_absorb_columns = columns;
-        self
-    }
-
-    /// Online learning: seconds of pending-column age that trigger a
-    /// retrain. Zero is an [`AdtError::Config`] error at [`Self::build`].
-    pub fn online_interval_secs(mut self, secs: u64) -> Self {
-        self.config.online_interval_secs = secs;
-        self
-    }
-
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<AutoDetectConfig, AdtError> {
         self.config.validate()?;
@@ -387,6 +282,7 @@ impl AutoDetectConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MergePolicy;
 
     #[test]
     fn default_matches_paper_knobs() {
@@ -465,25 +361,24 @@ mod tests {
             .is_err());
     }
 
+    // The detector set and merge policy are not configuration fields:
+    // every ensemble surface validates them with `parse_ensemble`, next
+    // to a configuration built here. The four tests below pin the
+    // guarantees the builder used to give.
+
     #[test]
     fn builder_accepts_valid_detector_sets() {
-        let c = AutoDetectConfig::builder()
-            .detectors(["autodetect", "fregex", "cdm"])
-            .merge_policy(MergePolicy::Vote(2))
-            .build()
-            .unwrap();
-        assert_eq!(c.detectors, vec!["autodetect", "fregex", "cdm"]);
-        assert_eq!(c.merge, MergePolicy::Vote(2));
-        let specs = c.detector_specs().unwrap();
+        AutoDetectConfig::builder().build().unwrap();
+        let (specs, merge) =
+            crate::parse_ensemble(["autodetect", "fregex", "cdm"], Some("vote:2")).unwrap();
+        assert_eq!(specs.len(), 3);
         assert_eq!(specs[1].name(), "fregex");
+        assert_eq!(merge, MergePolicy::Vote(2));
     }
 
     #[test]
     fn builder_rejects_unknown_detector_name() {
-        let err = AutoDetectConfig::builder()
-            .detectors(["autodetect", "nonesuch"])
-            .build()
-            .unwrap_err();
+        let err = crate::parse_ensemble(["autodetect", "nonesuch"], None).unwrap_err();
         assert!(
             matches!(err, AdtError::Config(ref m) if m.contains("nonesuch")),
             "{err}"
@@ -493,67 +388,24 @@ mod tests {
     #[test]
     fn builder_rejects_bad_detector_sets_and_merges() {
         // Duplicate member.
-        assert!(AutoDetectConfig::builder()
-            .detectors(["fregex", "fregex"])
-            .build()
-            .is_err());
+        assert!(crate::parse_ensemble(["fregex", "fregex"], None).is_err());
         // Empty set.
-        assert!(AutoDetectConfig::builder()
-            .detectors(Vec::<String>::new())
-            .build()
-            .is_err());
-        // Malformed vote threshold (programmatic construction can bypass
-        // MergePolicy::parse).
-        assert!(AutoDetectConfig::builder()
-            .detectors(["autodetect", "fregex"])
-            .merge_policy(MergePolicy::Vote(0))
-            .build()
-            .is_err());
+        assert!(crate::parse_ensemble(Vec::<String>::new(), None).is_err());
+        // Malformed vote threshold.
+        assert!(crate::parse_ensemble(["autodetect", "fregex"], Some("vote:0")).is_err());
         // Vote threshold above the member count can never fire.
-        assert!(AutoDetectConfig::builder()
-            .detectors(["autodetect", "fregex"])
-            .merge_policy(MergePolicy::Vote(3))
-            .build()
-            .is_err());
-        // Calibrated priors must name known detectors with sane weights.
-        assert!(AutoDetectConfig::builder()
-            .merge_policy(MergePolicy::Calibrated(vec![("nonesuch".into(), 0.5)]))
-            .build()
-            .is_err());
-        assert!(AutoDetectConfig::builder()
-            .merge_policy(MergePolicy::Calibrated(vec![("fregex".into(), 0.0)]))
-            .build()
-            .is_err());
+        assert!(crate::parse_ensemble(["autodetect", "fregex"], Some("vote:3")).is_err());
+        // `calibrated` is no longer a policy.
+        assert!(crate::parse_ensemble(["autodetect", "fregex"], Some("calibrated")).is_err());
     }
 
     #[test]
     fn default_detector_set_is_autodetect_union() {
-        let c = AutoDetectConfig::default();
-        assert_eq!(c.detectors, vec!["autodetect"]);
-        assert_eq!(c.merge, MergePolicy::Union);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn online_knobs_default_and_validate() {
-        let c = AutoDetectConfig::default();
-        assert_eq!(c.online_absorb_columns, 256);
-        assert_eq!(c.online_interval_secs, 60);
-        let c = AutoDetectConfig::builder()
-            .online_absorb_columns(32)
-            .online_interval_secs(5)
-            .build()
-            .unwrap();
-        assert_eq!(c.online_absorb_columns, 32);
-        assert_eq!(c.online_interval_secs, 5);
-        assert!(AutoDetectConfig::builder()
-            .online_absorb_columns(0)
-            .build()
-            .is_err());
-        assert!(AutoDetectConfig::builder()
-            .online_interval_secs(0)
-            .build()
-            .is_err());
+        AutoDetectConfig::default().validate().unwrap();
+        let (specs, merge) = crate::parse_ensemble(["autodetect"], None).unwrap();
+        assert_eq!(specs.len(), 1);
+        assert_eq!(specs[0].name(), "autodetect");
+        assert_eq!(merge, MergePolicy::Union);
     }
 
     /// Deferred training (the only mode) takes any `sketch_fraction`

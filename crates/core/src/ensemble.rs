@@ -29,7 +29,7 @@
 //! timing lanes only, never findings, so merged output is byte-identical
 //! at any thread count.
 
-use crate::api::{finalize_predictions, Detector, Prediction};
+use crate::api::{finalize_predictions, Detector, DetectorSpec, Prediction};
 use crate::detector::{DetectorLane, ScanStats};
 use crate::engine::parallel_map;
 use crate::error::AdtError;
@@ -42,7 +42,7 @@ use std::time::Instant;
 /// All policies first rank-normalize each member's predictions — the
 /// top prediction of any method scores 1, the last 1/n — because raw
 /// confidences are incomparable across methods.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MergePolicy {
     /// Max-pool the normalized ranks across members (the paper's §4.2
     /// Union baseline).
@@ -51,23 +51,15 @@ pub enum MergePolicy {
     /// Keep only values predicted by at least `k` members; confidence is
     /// the best normalized rank among them.
     Vote(usize),
-    /// Weight each member's normalized ranks by a per-detector precision
-    /// prior (as measured by the `adt-eval` scenario matrix) before
-    /// max-pooling. Detectors absent from the prior list weigh 1.0, so
-    /// an empty list degenerates to `Union`.
-    Calibrated(Vec<(String, f64)>),
 }
 
 impl MergePolicy {
-    /// Parses the configuration syntax: `union`, `vote:k` (k ≥ 1), or
-    /// `calibrated`. Anything else is a typed [`AdtError::Config`].
+    /// Parses the configuration syntax: `union` or `vote:k` (k ≥ 1).
+    /// Anything else is a typed [`AdtError::Config`].
     pub fn parse(raw: &str) -> Result<Self, AdtError> {
         let s = raw.trim().to_ascii_lowercase();
         if s == "union" {
             return Ok(MergePolicy::Union);
-        }
-        if s == "calibrated" {
-            return Ok(MergePolicy::Calibrated(Vec::new()));
         }
         if let Some(k) = s.strip_prefix("vote:") {
             return match k.parse::<usize>() {
@@ -83,28 +75,60 @@ impl MergePolicy {
             )));
         }
         Err(AdtError::Config(format!(
-            "unknown merge policy '{raw}' (known: union, vote:k, calibrated)"
+            "unknown merge policy '{raw}' (known: union, vote:k)"
         )))
     }
 
-    /// The configuration spelling (`union`, `vote:2`, `calibrated`).
+    /// The configuration spelling (`union`, `vote:2`).
     pub fn label(&self) -> String {
         match self {
             MergePolicy::Union => "union".to_string(),
             MergePolicy::Vote(k) => format!("vote:{k}"),
-            MergePolicy::Calibrated(_) => "calibrated".to_string(),
         }
     }
 }
 
-/// Normalizes a detector display name to its canonical configuration
-/// form: `"Auto-Detect"` → `"autodetect"`, `"F-Regex"` → `"fregex"`.
-fn canonical_name(display: &str) -> String {
-    display
-        .chars()
-        .filter(|c| *c != '-' && *c != '_')
-        .collect::<String>()
-        .to_ascii_lowercase()
+/// Validates an ensemble request: a detector set by configuration name
+/// and a merge policy spelling (`None` means `union`). The one check
+/// every ensemble surface (`autodetect scan`, `/v1/scan`) runs before
+/// building detectors: unknown names, duplicates (`fregex` and
+/// `f-regex` are one detector), an empty set, a malformed policy, and a
+/// `vote:k` threshold above the member count are all typed
+/// [`AdtError::Config`] errors naming the offending input.
+pub fn parse_ensemble<I, S>(
+    detectors: I,
+    merge: Option<&str>,
+) -> Result<(Vec<DetectorSpec>, MergePolicy), AdtError>
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<str>,
+{
+    let mut specs: Vec<DetectorSpec> = Vec::new();
+    for name in detectors {
+        let spec = DetectorSpec::parse(name.as_ref())?;
+        if specs.contains(&spec) {
+            return Err(AdtError::Config(format!(
+                "duplicate detector '{}'",
+                spec.name()
+            )));
+        }
+        specs.push(spec);
+    }
+    if specs.is_empty() {
+        return Err(AdtError::Config(
+            "an ensemble needs at least one detector".into(),
+        ));
+    }
+    let merge = MergePolicy::parse(merge.unwrap_or("union"))?;
+    if let MergePolicy::Vote(k) = merge {
+        if k > specs.len() {
+            return Err(AdtError::Config(format!(
+                "merge vote:{k} needs at least {k} detectors, got {}",
+                specs.len()
+            )));
+        }
+    }
+    Ok((specs, merge))
 }
 
 /// The merged result of one ensemble scan.
@@ -183,16 +207,6 @@ impl<'a> EnsembleEngine<'a> {
         self
     }
 
-    /// Member display names, in configured order.
-    pub fn detector_names(&self) -> Vec<&'static str> {
-        self.detectors.iter().map(|d| d.name()).collect()
-    }
-
-    /// The configured merge policy.
-    pub fn merge_policy(&self) -> &MergePolicy {
-        &self.merge
-    }
-
     /// Scans `columns` with every member and merges the rankings.
     ///
     /// Work items are (detector, column-chunk) pairs over a fixed chunk
@@ -259,19 +273,13 @@ impl<'a> EnsembleEngine<'a> {
 
         // adt-allow(determinism): wall-clock feeds EnsembleReport timing fields only, never detection results
         let merge_start = Instant::now();
-        let names: Vec<&'static str> = self.detector_names();
         let mut merged: Vec<Vec<Prediction>> = Vec::with_capacity(columns.len());
         for col in 0..columns.len() {
-            let mut ranked: Vec<(&str, &[Prediction])> = Vec::with_capacity(names.len());
-            for (det_idx, name) in names.iter().enumerate() {
-                let preds = per_detector
-                    .get(det_idx)
-                    .and_then(|cols| cols.get(col))
-                    .map(|v| v.as_slice())
-                    .unwrap_or(&[]);
-                ranked.push((name, preds));
-            }
-            merged.push(merge_column(&ranked, &self.merge, self.limit));
+            let ranked: Vec<&[Prediction]> = per_detector
+                .iter()
+                .map(|cols| cols.get(col).map(|v| v.as_slice()).unwrap_or(&[]))
+                .collect();
+            merged.push(merge_column(&ranked, self.merge, self.limit));
         }
         let merge_nanos = merge_start.elapsed().as_nanos() as u64;
 
@@ -296,27 +304,16 @@ impl<'a> EnsembleEngine<'a> {
 /// policy reproduces byte-for-byte. Pooling is max-based and detectors
 /// are folded in configured order, but max and vote-counting are
 /// order-insensitive, so the result is independent of scheduling.
-fn merge_column(
-    ranked: &[(&str, &[Prediction])],
-    policy: &MergePolicy,
-    limit: usize,
-) -> Vec<Prediction> {
-    let (threshold, priors): (usize, &[(String, f64)]) = match policy {
-        MergePolicy::Union => (1, &[]),
-        MergePolicy::Vote(k) => (*k, &[]),
-        MergePolicy::Calibrated(p) => (1, p.as_slice()),
+fn merge_column(ranked: &[&[Prediction]], policy: MergePolicy, limit: usize) -> Vec<Prediction> {
+    let threshold = match policy {
+        MergePolicy::Union => 1,
+        MergePolicy::Vote(k) => k,
     };
     let mut pooled: BTreeMap<&str, (f64, usize)> = BTreeMap::new();
-    for (name, preds) in ranked {
-        let canon = canonical_name(name);
-        let weight = priors
-            .iter()
-            .find(|(n, _)| canonical_name(n) == canon)
-            .map(|(_, w)| *w)
-            .unwrap_or(1.0);
+    for preds in ranked {
         let n = preds.len();
         for (rank, p) in preds.iter().enumerate() {
-            let score = weight * ((n - rank) as f64 / n as f64);
+            let score = (n - rank) as f64 / n as f64;
             let entry = pooled.entry(p.value.as_str()).or_insert((0.0, 0));
             if score > entry.0 {
                 entry.0 = score;
@@ -415,12 +412,16 @@ mod tests {
     fn merge_policy_parse_round_trips() {
         assert_eq!(MergePolicy::parse("union").unwrap(), MergePolicy::Union);
         assert_eq!(MergePolicy::parse("VOTE:2").unwrap(), MergePolicy::Vote(2));
-        assert_eq!(
-            MergePolicy::parse("calibrated").unwrap(),
-            MergePolicy::Calibrated(Vec::new())
-        );
         assert_eq!(MergePolicy::parse("vote:2").unwrap().label(), "vote:2");
-        for bad in ["vote", "vote:0", "vote:x", "vote:", "intersect", ""] {
+        for bad in [
+            "vote",
+            "vote:0",
+            "vote:x",
+            "vote:",
+            "intersect",
+            "calibrated",
+            "",
+        ] {
             let err = MergePolicy::parse(bad).unwrap_err();
             assert!(
                 matches!(err, AdtError::Config(_)),
@@ -440,8 +441,7 @@ mod tests {
     fn union_matches_rank_pooling_reference() {
         let a = vec![p("x", 9.0), p("y", 5.0)];
         let b = vec![p("y", 0.1)];
-        let ranked: Vec<(&str, &[Prediction])> = vec![("A", &a), ("B", &b)];
-        let merged = merge_column(&ranked, &MergePolicy::Union, 16);
+        let merged = merge_column(&[&a, &b], MergePolicy::Union, 16);
         // A: x → 2/2 = 1.0, y → 1/2 = 0.5; B: y → 1/1 = 1.0 (max pool).
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].value, "x"); // 1.0, tie broken by value
@@ -454,22 +454,39 @@ mod tests {
     fn vote_filters_by_member_count() {
         let a = vec![p("x", 9.0), p("y", 5.0)];
         let b = vec![p("y", 0.1)];
-        let ranked: Vec<(&str, &[Prediction])> = vec![("A", &a), ("B", &b)];
-        let merged = merge_column(&ranked, &MergePolicy::Vote(2), 16);
+        let merged = merge_column(&[&a, &b], MergePolicy::Vote(2), 16);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].value, "y");
     }
 
     #[test]
-    fn calibrated_priors_reweight() {
-        let a = vec![p("x", 9.0)];
-        let b = vec![p("y", 9.0)];
-        let ranked: Vec<(&str, &[Prediction])> = vec![("A", &a), ("B", &b)];
-        let policy = MergePolicy::Calibrated(vec![("a".to_string(), 0.2)]);
-        let merged = merge_column(&ranked, &policy, 16);
-        assert_eq!(merged[0].value, "y"); // B keeps weight 1.0
-        assert!((merged[0].confidence - 1.0).abs() < 1e-12);
-        assert!((merged[1].confidence - 0.2).abs() < 1e-12);
+    fn ensemble_requests_are_validated_in_one_place() {
+        let (specs, merge) =
+            parse_ensemble(["autodetect", "fregex", "cdm"], Some("vote:2")).unwrap();
+        let names: Vec<&str> = specs.iter().map(|s| s.name()).collect();
+        assert_eq!(names, ["autodetect", "fregex", "cdm"]);
+        assert_eq!(merge, MergePolicy::Vote(2));
+        // No policy means union; a lone Auto-Detect is a valid set.
+        let (specs, merge) = parse_ensemble(["autodetect"], None).unwrap();
+        assert_eq!(specs[0].name(), "autodetect");
+        assert_eq!(merge, MergePolicy::Union);
+
+        let config_error = |detectors: &[&str], merge: Option<&str>| -> String {
+            match parse_ensemble(detectors, merge) {
+                Err(AdtError::Config(m)) => m,
+                other => panic!("{detectors:?} {merge:?} should be a Config error, got {other:?}"),
+            }
+        };
+        assert!(config_error(&["autodetect", "nonesuch"], None).contains("nonesuch"));
+        assert!(config_error(&["fregex", "f-regex"], None).contains("duplicate"));
+        assert!(config_error(&[], None).contains("at least one detector"));
+        assert!(config_error(&["autodetect", "fregex"], Some("vote:0")).contains("vote:k"));
+        assert!(config_error(&["autodetect", "fregex"], Some("vote:3")).contains("vote:3"));
+        let m = config_error(&["autodetect", "fregex"], Some("calibrated"));
+        assert!(
+            m.contains("calibrated") && m.contains("union") && m.contains("vote:k"),
+            "{m}"
+        );
     }
 
     #[test]

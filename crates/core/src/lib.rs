@@ -28,8 +28,9 @@
 //!    services consume one trait object uniformly;
 //! 9. [`ensemble`] — the [`EnsembleEngine`]: runs a configurable
 //!    detector set per scan with per-detector instrumentation and merges
-//!    rankings under a pluggable [`MergePolicy`] (union / vote(k) /
-//!    calibrated), deterministically at any thread count;
+//!    rankings under a [`MergePolicy`] (union / vote(k)),
+//!    deterministically at any thread count; [`parse_ensemble`] is the
+//!    one validation of a requested detector set and policy;
 //! 10. [`online`] — the [`OnlineLearner`]: keeps a seeded, bounded
 //!     reservoir of the columns it absorbs and retrains with [`train`]
 //!     on them, byte-identical to an offline train on the same columns;
@@ -68,7 +69,7 @@ pub use engine::{
     parallel_map, parallel_map_with, resolve_threads, CachePool, ColumnSummary, ScanEngine,
     ScanReport,
 };
-pub use ensemble::{EnsembleEngine, EnsembleReport, MergePolicy};
+pub use ensemble::{parse_ensemble, EnsembleEngine, EnsembleReport, MergePolicy};
 pub use error::AdtError;
 pub use model::{
     calibrate_candidates, calibrate_candidates_with_report, load_model, save_model,

@@ -345,21 +345,19 @@ pub fn save_model<P: AsRef<Path>>(model: &AutoDetect, path: P) -> Result<(), Adt
 pub fn load_model<P: AsRef<Path>>(path: P) -> Result<AutoDetect, AdtError> {
     let path = path.as_ref();
     let display = path.display().to_string();
-    let f = std::fs::File::open(path).map_err(|e| {
+    // One read, then decoding from memory: the codec reads byte-sized
+    // varints, and a slice serves each without a call into `BufReader`.
+    let bytes = std::fs::read(path).map_err(|e| {
         if e.kind() == io::ErrorKind::NotFound {
             AdtError::ModelNotFound(display.clone())
         } else {
             AdtError::Io(e)
         }
     })?;
-    codec::read_model(&mut io::BufReader::new(f)).map_err(|e| match codec_error(e) {
-        // I/O failures while reading bytes stay I/O errors; everything
-        // that means "the bytes are not a model" becomes ModelParse.
-        AdtError::Io(io) if io.kind() != io::ErrorKind::UnexpectedEof => AdtError::Io(io),
-        other => AdtError::ModelParse {
-            path: display,
-            detail: other.to_string(),
-        },
+    // In memory every decode error means "the bytes are not a model".
+    codec::read_model(&mut bytes.as_slice()).map_err(|e| AdtError::ModelParse {
+        path: display,
+        detail: codec_error(e).to_string(),
     })
 }
 

@@ -9,8 +9,8 @@
 //!   variants, and every baseline;
 //! * [`metrics`] — pooled precision@k over ranked predictions;
 //! * [`matrix`] — detector × error-class scenario matrix (the runner
-//!   behind `matrix_report` / `BENCH_matrix.json`), whose per-detector
-//!   precision rows double as `calibrated` merge-policy priors;
+//!   behind `matrix_report` / `BENCH_matrix.json`), which also reports
+//!   each detector's precision over all classes;
 //! * [`report`] — experiment result structures, CDFs, and table printing.
 
 pub mod matrix;

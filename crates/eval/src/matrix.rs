@@ -4,9 +4,9 @@
 //! each error class in the corpus generator's taxonomy it builds a
 //! scenario of columns carrying exactly that error (plus untouched clean
 //! columns), runs every requested detector over each scenario, and
-//! scores pooled precision@k per (detector, class) cell. The
-//! per-detector precision micro-averaged across all classes doubles as
-//! the measured precision prior the `calibrated` merge policy consumes.
+//! scores pooled precision@k per (detector, class) cell, plus each
+//! detector's precision micro-averaged across all classes. These
+//! per-detector priors are reported only; no merge policy reads them.
 
 use crate::metrics::{pooled_predictions, precision_at_k};
 use crate::runner::{run_method_threads, Method};
@@ -132,15 +132,15 @@ pub struct MatrixCell {
     pub wall_nanos: u64,
 }
 
-/// The full matrix plus derived calibration priors.
+/// The full matrix plus each detector's precision over all classes.
 #[derive(Debug)]
 pub struct MatrixReport {
     /// Cells in (detector, class) order — detectors as requested,
     /// classes in [`ErrorKind::ALL`] order.
     pub cells: Vec<MatrixCell>,
     /// Per-detector precision micro-averaged over all classes
-    /// (`Σ hits / Σ k`), floored at 0.05 so the result is always a valid
-    /// `calibrated` merge-policy weight.
+    /// (`Σ hits / Σ k`), floored at 0.05. Reported only: no merge
+    /// policy reads it.
     pub priors: Vec<(String, f64)>,
 }
 

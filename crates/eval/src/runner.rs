@@ -81,9 +81,6 @@ pub fn run_method_threads(
     .expect("evaluation worker panicked")
 }
 
-/// Re-exported for callers that convert findings themselves.
-pub use adt_core::api::findings_to_predictions as convert_findings;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,9 +57,12 @@ pub struct LearnConfig {
     /// registry default (resolved and validated at
     /// [`crate::server::Server::bind`]).
     pub model: Option<String>,
-    /// Retrain once this many columns arrived since the last retrain.
+    /// Retrain once this many columns arrived since the last retrain
+    /// (default 256; zero is rejected at
+    /// [`crate::server::Server::bind`]).
     pub absorb_columns: u64,
-    /// Retrain once a pending column has waited this long.
+    /// Retrain once a pending column has waited this long (default
+    /// 60 s; zero is rejected at [`crate::server::Server::bind`]).
     pub absorb_interval: Duration,
     /// Bounded ingest queue depth, in batches (one `/v1/learn` request
     /// or one tapped scan = one batch).
@@ -75,14 +78,13 @@ pub struct LearnConfig {
 }
 
 impl LearnConfig {
-    /// A learn configuration for `train`, absorb thresholds taken from
-    /// the config's `online_absorb_columns` / `online_interval_secs`
-    /// knobs.
+    /// A learn configuration retraining with `train`, at the default
+    /// absorb thresholds.
     pub fn new(train: AutoDetectConfig) -> LearnConfig {
         LearnConfig {
             model: None,
-            absorb_columns: train.online_absorb_columns as u64,
-            absorb_interval: Duration::from_secs(train.online_interval_secs),
+            absorb_columns: 256,
+            absorb_interval: Duration::from_secs(60),
             queue_capacity: 64,
             train,
             seed_corpus: None,
@@ -219,14 +221,11 @@ mod tests {
 
     #[test]
     fn learn_config_inherits_online_knobs() {
-        let train = AutoDetectConfig::builder()
-            .online_absorb_columns(32)
-            .online_interval_secs(5)
-            .build()
-            .unwrap();
-        let lc = LearnConfig::new(train);
-        assert_eq!(lc.absorb_columns, 32);
-        assert_eq!(lc.absorb_interval, Duration::from_secs(5));
+        let train = AutoDetectConfig::small();
+        let lc = LearnConfig::new(train.clone());
+        assert_eq!(lc.absorb_columns, 256);
+        assert_eq!(lc.absorb_interval, Duration::from_secs(60));
+        assert_eq!(lc.train.space, train.space);
         assert!(lc.model.is_none());
         assert!(lc.seed_corpus.is_none());
         assert!(lc.queue_capacity > 0);

@@ -42,8 +42,8 @@ pub struct ScanRequest {
     /// Detector set for an ensemble scan; `None` means the plain
     /// single-model scan.
     pub detectors: Option<Vec<String>>,
-    /// Merge policy spelling (`union`, `vote:k`, `calibrated`); only
-    /// meaningful alongside `detectors`.
+    /// Merge policy spelling (`union`, `vote:k`); only meaningful
+    /// alongside `detectors`.
     pub merge: Option<String>,
     /// Opt-in learning tap: after the scan, the columns are also queued
     /// for the server's online learner. Requires a learn-enabled server.
@@ -96,7 +96,7 @@ pub struct WireDetectorLane {
 /// The ensemble section of a scan response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireEnsemble {
-    /// Merge policy spelling (`union`, `vote:2`, `calibrated`).
+    /// Merge policy spelling (`union`, `vote:2`).
     pub merge: String,
     /// Per-detector lanes in configured order.
     pub detectors: Vec<WireDetectorLane>,

@@ -27,9 +27,9 @@ use crate::learn::{self, LearnConfig};
 use crate::protocol;
 use crate::registry::{ModelHandle, ModelRegistry};
 use crate::stats::ServerStats;
-use adt_core::ensemble::{EnsembleEngine, MergePolicy};
 use adt_core::{
-    AdtError, CachePool, ColumnFinding, ColumnSummary, DetectorSpec, ScanEngine, TableFinding,
+    parse_ensemble, AdtError, CachePool, ColumnFinding, ColumnSummary, EnsembleEngine, ScanEngine,
+    TableFinding,
 };
 use adt_corpus::Column;
 use std::io::{BufReader, Read};
@@ -121,14 +121,25 @@ impl Server {
     /// Binds the listener. The server starts serving on [`Server::run`].
     ///
     /// A learn-enabled configuration is validated here: the training
-    /// knobs must pass [`adt_core::AutoDetectConfig::validate`] and the
-    /// target model must resolve to a loaded registry entry — a learner
-    /// that could never swap is a deployment error worth failing fast on.
+    /// knobs must pass [`adt_core::AutoDetectConfig::validate`], both
+    /// absorb thresholds must be positive, and the target model must
+    /// resolve to a loaded registry entry — a learner that could never
+    /// swap is a deployment error worth failing fast on.
     pub fn bind(config: ServeConfig, registry: ModelRegistry) -> Result<Server, AdtError> {
         let learn_target = match &config.learn {
             None => None,
             Some(learn) => {
                 learn.train.validate()?;
+                if learn.absorb_columns == 0 {
+                    return Err(AdtError::Config(
+                        "learn absorb_columns must be positive".into(),
+                    ));
+                }
+                if learn.absorb_interval.is_zero() {
+                    return Err(AdtError::Config(
+                        "learn absorb_interval must be positive".into(),
+                    ));
+                }
                 let name = learn
                     .model
                     .clone()
@@ -717,9 +728,9 @@ fn handle_learn(ctx: &WorkerCtx, req: &Request) -> (u16, Json) {
 /// set around the resolved model, runs the [`EnsembleEngine`] on this
 /// worker (member detectors are constructed per request and share no
 /// cache pool, so it does not use the server's), and encodes merged
-/// predictions with the per-detector lanes. Unknown detector names,
-/// duplicates, and malformed merge policies are 400s carrying the
-/// offending input.
+/// predictions with the per-detector lanes. A request
+/// [`parse_ensemble`] rejects is a 400 carrying the offending
+/// input.
 fn handle_ensemble_scan(
     ctx: &WorkerCtx,
     handle: &ModelHandle,
@@ -727,44 +738,12 @@ fn handle_ensemble_scan(
     merge: Option<&str>,
     columns: &[Column],
 ) -> (u16, Json) {
-    if detectors.is_empty() {
-        return (
-            400,
-            protocol::error_to_json("\"detectors\" must name at least one detector"),
-        );
-    }
-    let mut specs = Vec::with_capacity(detectors.len());
-    for name in detectors {
-        match DetectorSpec::parse(name) {
-            // The Config error text names the offender and the valid
-            // choices — exactly what a 400 should carry.
-            Err(e) => return (400, protocol::error_to_json(&e.to_string())),
-            Ok(spec) => {
-                if specs.contains(&spec) {
-                    return (
-                        400,
-                        protocol::error_to_json(&format!("duplicate detector '{}'", spec.name())),
-                    );
-                }
-                specs.push(spec);
-            }
-        }
-    }
-    let merge = match MergePolicy::parse(merge.unwrap_or("union")) {
-        Ok(m) => m,
+    // The Config error text names the offender and the valid choices —
+    // exactly what a 400 should carry.
+    let (specs, merge) = match parse_ensemble(detectors, merge) {
+        Ok(parsed) => parsed,
         Err(e) => return (400, protocol::error_to_json(&e.to_string())),
     };
-    if let MergePolicy::Vote(k) = merge {
-        if k > specs.len() {
-            return (
-                400,
-                protocol::error_to_json(&format!(
-                    "vote merge threshold {k} exceeds the {} requested detector(s)",
-                    specs.len()
-                )),
-            );
-        }
-    }
     let registry = adt_baselines::standard_registry(Arc::clone(&handle.model));
     let members = match registry.build_set(&specs) {
         Ok(m) => m,

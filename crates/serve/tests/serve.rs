@@ -264,6 +264,22 @@ fn ensemble_scan_reports_lanes_and_rejects_unknown_detectors() {
         }
         other => panic!("expected status error, got {other}"),
     }
+    // A removed merge policy → 400 naming the policies left.
+    let err = client
+        .scan_ensemble(
+            None,
+            &columns,
+            &names(&["autodetect", "fregex"]),
+            Some("calibrated"),
+        )
+        .unwrap_err();
+    match err {
+        ClientError::Status { status, message } => {
+            assert_eq!(status, 400);
+            assert!(message.contains("union, vote:k"), "{message}");
+        }
+        other => panic!("expected status error, got {other}"),
+    }
     // `merge` without `detectors` is rejected at the protocol layer.
     let body = r#"{"columns": [{"values": ["a"]}], "merge": "union"}"#;
     let mut s = TcpStream::connect(client.addr()).unwrap();
@@ -707,6 +723,32 @@ fn learn_loop_retrains_and_swaps_under_concurrent_scans() {
 
     handle.shutdown();
     join.finish().unwrap();
+}
+
+#[test]
+fn bind_rejects_zero_absorb_thresholds() {
+    let zero_columns = LearnConfig {
+        absorb_columns: 0,
+        ..LearnConfig::default()
+    };
+    let zero_interval = LearnConfig {
+        absorb_interval: Duration::ZERO,
+        ..LearnConfig::default()
+    };
+    for (learn, knob) in [
+        (zero_columns, "absorb_columns"),
+        (zero_interval, "absorb_interval"),
+    ] {
+        let config = ServeConfig {
+            learn: Some(learn),
+            ..ServeConfig::default()
+        };
+        let registry = ModelRegistry::open(tmp_models(&format!("bind_zero_{knob}"))).unwrap();
+        match Server::bind(config, registry) {
+            Err(adt_core::AdtError::Config(m)) => assert!(m.contains(knob), "{m}"),
+            other => panic!("zero {knob} should be a Config error, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -2,15 +2,15 @@
 # Detector × error-class precision matrix: trains a small coarse-space
 # model, runs every detector over one scenario per injected error class,
 # and writes BENCH_matrix.json (override the path with MATRIX_OUT) with
-# per-cell pooled precision@k and the per-detector priors consumed by
-# the `calibrated` ensemble merge policy.
+# per-cell pooled precision@k and each detector's precision over all
+# classes (its "prior", reported only: no merge policy reads it).
 #
 #   scripts/matrix_report.sh             # full: release build, 12 detectors
 #   scripts/matrix_report.sh quick       # smoke: debug build, 4 detectors
 #
 # Quick mode exists so CI can exercise the matrix wiring cheaply; its
-# precision numbers are noisy and its priors are not meant for real
-# calibration.
+# precision numbers are noisy and its priors are not meant to be read
+# as measurements.
 set -eu
 cd "$(dirname "$0")/.."
 

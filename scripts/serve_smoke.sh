@@ -6,10 +6,11 @@
 #   scripts/serve_smoke.sh path/to/autodetect
 #
 # Exits non-zero if any step fails, if the known-dirty value is not
-# flagged, if a header holding `"`, `\`, a tab and a non-ASCII character
-# does not come back verbatim, if `/v1/stats` does not show two clean
-# scans with every phase timed, or if the server does not exit cleanly
-# after `stop`.
+# flagged by the plain scan or by a union ensemble, if a header holding
+# `"`, `\`, a tab and a non-ASCII character does not come back verbatim,
+# if a removed merge policy is not refused with the valid ones named, if
+# `/v1/stats` does not show three clean scans with every phase timed, or
+# if the server does not exit cleanly after `stop`.
 set -eu
 
 BIN=${1:?usage: serve_smoke.sh path/to/autodetect-binary}
@@ -81,7 +82,29 @@ if ! grep -qF "[$HOSTILE]" "$WORK/hostile.out"; then
     exit 1
 fi
 
-# Both scans are counted in /v1/stats, nothing failed, and each
+# An ensemble query keeps the dirty value under the default union merge.
+"$BIN" query --addr "$ADDR" "$WORK/ledger.csv" --detectors autodetect,fregex \
+    > "$WORK/ensemble.out"
+if ! grep -q "2019/03/04" "$WORK/ensemble.out" || ! grep -q "merge union" "$WORK/ensemble.out"; then
+    echo "serve smoke FAILED: union ensemble lost the dirty value or its merge line:" >&2
+    cat "$WORK/ensemble.out" >&2
+    exit 1
+fi
+
+# A merge policy the server does not know is a 400 naming the valid ones.
+if "$BIN" query --addr "$ADDR" "$WORK/ledger.csv" --detectors autodetect,fregex \
+    --merge calibrated > /dev/null 2> "$WORK/calibrated.err"; then
+    echo "serve smoke FAILED: --merge calibrated was accepted" >&2
+    exit 1
+fi
+if ! grep -q "vote:k" "$WORK/calibrated.err"; then
+    echo "serve smoke FAILED: unknown merge policy error does not name vote:k:" >&2
+    cat "$WORK/calibrated.err" >&2
+    exit 1
+fi
+
+# The three successful scans are counted in /v1/stats (the refused one
+# is a client error), nothing failed on the server, and each
 # decode/scan/encode phase took measurable time.
 if ! python3 - "$ADDR" <<'EOF'
 import json, sys, urllib.request
@@ -90,13 +113,13 @@ opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
 with opener.open("http://%s/v1/stats" % sys.argv[1], timeout=10) as r:
     stats = json.load(r)
 phases = stats.get("scan_phases", {})
-if (stats.get("scans_ok") != 2 or stats.get("server_errors") != 0
+if (stats.get("scans_ok") != 3 or stats.get("server_errors") != 0
         or sorted(phases) != ["decode_us", "encode_us", "scan_us"]
         or not all(v > 0 for v in phases.values())):
     sys.exit("serve smoke FAILED: /v1/stats scans_ok %r, server_errors %r, "
              "scan_phases %r" % (stats.get("scans_ok"),
                                  stats.get("server_errors"), phases))
-print("== serve smoke: scans_ok 2, server_errors 0, scan_phases %s" %
+print("== serve smoke: scans_ok 3, server_errors 0, scan_phases %s" %
       ", ".join("%s %.0f" % kv for kv in sorted(phases.items())))
 EOF
 then

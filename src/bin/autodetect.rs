@@ -57,7 +57,7 @@ mod cli {
     ];
 
     /// Boolean flags (present or absent, no value).
-    pub const FLAGS: [&str; 3] = ["--no-header", "--stream", "--learn"];
+    pub const FLAGS: [&str; 2] = ["--no-header", "--learn"];
 
     /// Parses raw arguments (without the program name).
     pub fn parse(raw: &[String]) -> Result<Args, String> {
@@ -161,8 +161,8 @@ USAGE:
                    [--budget BYTES] [--precision P] [--space full|coarse]
                    [--train-threads N] [--out MODEL.bin]
   autodetect scan FILE.csv --model MODEL.bin [--delimiter C] [--no-header]
-                  [--top N] [--threads N] [--stream]
-                  [--detectors NAME,NAME,…] [--merge union|vote:K|calibrated]
+                  [--top N] [--threads N]
+                  [--detectors NAME,NAME,…] [--merge union|vote:K]
   autodetect check VALUE1 VALUE2 --model MODEL.bin
   autodetect serve --models DIR [--addr HOST:PORT] [--threads N]
                    [--workers N] [--queue N]
@@ -171,7 +171,7 @@ USAGE:
                    [--learn-seed CORPUS] [--space full|coarse] [--examples N]
   autodetect query FILE.csv --addr HOST:PORT [--model NAME]
                    [--delimiter C] [--no-header] [--top N] [--learn]
-                   [--detectors NAME,NAME,…] [--merge union|vote:K|calibrated]
+                   [--detectors NAME,NAME,…] [--merge union|vote:K]
   autodetect stop --addr HOST:PORT
 
 Without --corpus, `train` generates a synthetic web-table corpus
@@ -185,17 +185,16 @@ the trained model is identical at any thread count and is written to
 
 `scan` audits every column of a delimited file through the parallel
 scan engine (--threads, default all cores) and prints ranked
-findings; --stream ingests the file with bounded memory instead of
-loading it whole. Findings are identical at any thread count and in
-either ingest mode. Models use the binary model format whatever the
-file's extension.
+findings. It streams the file in bounded memory rather than loading it
+whole, and its findings are identical at any thread count. Models use
+the binary model format whatever the file's extension.
 
 --detectors runs an ensemble instead of the single Auto-Detect engine:
 a comma-separated subset of autodetect, fregex, pwheel, dboost, linear,
 linearp, cdm, lsa, svdd, dbod, lof, union, merged by --merge (default
-union; vote:K keeps values flagged by at least K detectors; calibrated
-weights by precision priors). --merge requires --detectors; --stream is
-incompatible with --detectors. Ensemble findings are rank-pooled
+union; vote:K keeps values flagged by at least K detectors). --merge
+requires --detectors. An ensemble scan loads the file whole, since its
+detectors read entire columns. Ensemble findings are rank-pooled
 confidences without witness pairs, identical at any thread count.
 
 `serve` loads every model in --models DIR (name = file stem) and answers
@@ -331,13 +330,6 @@ fn cmd_scan(args: &cli::Args) -> Result<(), String> {
                 .into(),
         );
     }
-    if args.options.contains_key("--detectors") && args.has("--stream") {
-        return Err(
-            "--stream is incompatible with --detectors (ensemble scans need the \
-                    columns in memory)"
-                .into(),
-        );
-    }
     let model = require_model(args)?;
     let delim = args
         .opt_or("--delimiter", ",")
@@ -348,20 +340,15 @@ fn cmd_scan(args: &cli::Args) -> Result<(), String> {
     let top = args.num("--top", 5usize)?;
     let threads = args.num("--threads", 0usize)?;
     if let Some(detectors) = args.options.get("--detectors") {
-        let merge = args.opt_or("--merge", "union");
+        let merge = args.options.get("--merge").map(|s| s.as_str());
         return cmd_scan_ensemble(
             file, model, delim, has_header, top, threads, detectors, merge,
         );
     }
-    let engine = ScanEngine::from_model(model).with_threads(threads);
-    let report = if args.has("--stream") {
-        engine.scan_csv_path(file, delim, has_header)
-    } else {
-        load_csv(file, delim, has_header)
-            .map_err(adt_core::AdtError::from)
-            .and_then(|columns| engine.scan_columns(&columns))
-    }
-    .map_err(|e| format!("scanning {file}: {e}"))?;
+    let report = ScanEngine::from_model(model)
+        .with_threads(threads)
+        .scan_csv_path(file, delim, has_header)
+        .map_err(|e| format!("scanning {file}: {e}"))?;
     let mut total = 0usize;
     for summary in &report.columns {
         let header = summary
@@ -405,19 +392,10 @@ fn cmd_scan_ensemble(
     top: usize,
     threads: usize,
     detectors: &str,
-    merge: &str,
+    merge: Option<&str>,
 ) -> Result<(), String> {
-    use auto_detect::core::{DetectorSpec, EnsembleEngine, MergePolicy};
-    let specs = DetectorSpec::parse_list(detectors).map_err(|e| e.to_string())?;
-    let merge = MergePolicy::parse(merge).map_err(|e| e.to_string())?;
-    if let MergePolicy::Vote(k) = merge {
-        if k > specs.len() {
-            return Err(format!(
-                "--merge vote:{k} needs at least {k} detectors, got {}",
-                specs.len()
-            ));
-        }
-    }
+    use auto_detect::core::{parse_ensemble, EnsembleEngine};
+    let (specs, merge) = parse_ensemble(detectors.split(','), merge).map_err(|e| e.to_string())?;
     let registry = auto_detect::baselines::standard_registry(std::sync::Arc::new(model));
     let members = registry.build_set(&specs).map_err(|e| e.to_string())?;
     let columns = load_csv(file, delim, has_header).map_err(|e| format!("loading {file}: {e}"))?;
@@ -491,12 +469,14 @@ fn learn_config(args: &cli::Args) -> Result<Option<auto_detect::serve::LearnConf
     let train = AutoDetectConfig::builder()
         .space(space)
         .training_examples(args.num("--examples", 4_000usize)?)
-        .online_absorb_columns(args.num("--learn-absorb", 256usize)?)
-        .online_interval_secs(args.num("--learn-interval", 60u64)?)
         .build()
         .map_err(|e| e.to_string())?;
     let mut learn = LearnConfig::new(train);
     learn.model = args.options.get("--learn-model").cloned();
+    learn.absorb_columns = args.num("--learn-absorb", learn.absorb_columns)?;
+    learn.absorb_interval = std::time::Duration::from_secs(
+        args.num("--learn-interval", learn.absorb_interval.as_secs())?,
+    );
     learn.queue_capacity = args.num("--learn-queue", 64usize)?;
     if let Some(path) = args.options.get("--learn-seed") {
         learn.seed_corpus =

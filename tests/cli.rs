@@ -59,8 +59,7 @@ fn findings_part(stdout: &str) -> String {
 
 /// The full pipeline at miniature scale: generate a corpus, train a
 /// coarse-space model (binary codec), scan a CSV with a planted
-/// date-format mix — serial, parallel, and streamed — and check a value
-/// pair.
+/// date-format mix — serial and parallel — and check a value pair.
 #[test]
 fn full_pipeline_detects_planted_error() {
     let dir = tmp_dir("full_pipeline");
@@ -136,9 +135,9 @@ fn full_pipeline_detects_planted_error() {
         "clean column flagged:\n{stdout}"
     );
 
-    // The engine guarantees identical findings at any thread count and in
-    // streaming mode; only the timing summary may differ.
-    for extra in [&["--threads", "1"][..], &["--threads", "8"], &["--stream"]] {
+    // The engine guarantees identical findings at any thread count; only
+    // the timing summary may differ.
+    for extra in [&["--threads", "1"][..], &["--threads", "8"]] {
         let rerun = Command::new(bin())
             .args([
                 "scan",
@@ -320,8 +319,8 @@ fn ensemble_scan_is_thread_invariant_and_validates_flags() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("merge vote:2"));
 
-    // Flag validation: --merge without --detectors, --stream with
-    // --detectors, unknown detector names.
+    // Flag validation: --merge without --detectors, unknown detector
+    // names, a vote threshold above the member count.
     let bad = |args: &[&str], needle: &str| {
         let out = Command::new(bin())
             .args(["scan", csv.to_str().unwrap(), "--model"])
@@ -334,7 +333,6 @@ fn ensemble_scan_is_thread_invariant_and_validates_flags() {
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
     };
     bad(&["--merge", "vote:2"], "--detectors");
-    bad(&["--detectors", "autodetect", "--stream"], "--stream");
     bad(&["--detectors", "autodetect,nonesuch"], "nonesuch");
     bad(
         &["--detectors", "autodetect", "--merge", "vote:9"],
