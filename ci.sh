@@ -8,18 +8,30 @@
 set -eu
 cd "$(dirname "$0")"
 
-# Figure smoke: a scaled-down `exp_fig4` writes its figure JSON and
+# Figure smoke: a scaled-down `exp_fig4` writes its figure JSON, whose
+# series must be the twelve Figure 4 legend names in paper order, and
 # `exp_report` reads it back into the Markdown summary. $1 is the
 # directory holding the two release binaries.
 figure_smoke() {
     FIG_DIR="$(mktemp -d)"
     ADT_SCALE=0.05 ADT_DATA_DIR="$FIG_DIR" "$1/exp_fig4" >/dev/null
+    python3 - "$FIG_DIR/fig4a_wiki.json" <<'EOF'
+import json
+import sys
+
+legend = ["Auto-Detect", "Linear", "LinearP", "F-Regex", "PWheel", "dBoost",
+          "CDM", "LSA", "SVDD", "DBOD", "LOF", "Union"]
+with open(sys.argv[1]) as f:
+    labels = [s["label"] for s in json.load(f)["series"]]
+if labels != legend:
+    sys.exit(f"figure smoke: fig4a_wiki series {labels}, expected {legend}")
+EOF
     ADT_DATA_DIR="$FIG_DIR" "$1/exp_report" >"$FIG_DIR/summary.md"
     if ! grep -q '^### fig4a_wiki$' "$FIG_DIR/summary.md"; then
         echo "figure smoke: fig4a_wiki missing from the exp_report summary" >&2
         exit 1
     fi
-    echo "figure smoke ok: exp_fig4 -> exp_report renders fig4a_wiki"
+    echo "figure smoke ok: exp_fig4 -> exp_report renders the Figure 4 legend"
     rm -rf "$FIG_DIR"
 }
 

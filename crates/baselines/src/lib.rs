@@ -18,8 +18,16 @@
 //!
 //! These are *local* methods: they see only the input column, which is
 //! exactly the contrast the paper draws against corpus-driven detection.
+//!
+//! This crate is the one place that can name every detector, so it
+//! holds the roster ([`api`]): [`DetectorId`] (Auto-Detect, each
+//! [`Baseline`], Union) with its configuration names and one exhaustive
+//! constructor `match`; and ([`config`]) [`parse_ensemble`], the one
+//! validation of a requested detector set and merge policy.
 
+pub mod api;
 pub mod cdm;
+pub mod config;
 pub mod dbod;
 pub mod dboost;
 pub mod fregex;
@@ -39,53 +47,15 @@ pub use lof::LofDetector;
 pub use lsa::LsaDetector;
 pub use pwheel::PotterWheelDetector;
 pub use svdd::SvddDetector;
-pub use union::UnionDetector;
+
+pub use api::{Baseline, DetectorId};
+pub use config::parse_ensemble;
 
 use adt_core::api::Detector;
 
-/// All standalone baselines (excluding Union) with their paper names.
+/// All ten baselines (excluding Union), in configuration order.
 pub fn all_baselines() -> Vec<Box<dyn Detector>> {
-    vec![
-        Box::new(FRegexDetector::default()),
-        Box::new(PotterWheelDetector::default()),
-        Box::new(DboostDetector::default()),
-        Box::new(LinearDetector::default()),
-        Box::new(LinearPDetector::default()),
-        Box::new(CdmDetector::default()),
-        Box::new(LsaDetector::default()),
-        Box::new(SvddDetector::default()),
-        Box::new(DbodDetector::default()),
-        Box::new(LofDetector::default()),
-    ]
-}
-
-/// Registers the ten §4.2 baselines plus `"union"` into `reg` under
-/// their canonical configuration names (see
-/// [`adt_core::KNOWN_DETECTORS`]).
-pub fn register_baselines(reg: &mut adt_core::DetectorRegistry) {
-    reg.register("fregex", || Box::new(FRegexDetector::default()));
-    reg.register("pwheel", || Box::new(PotterWheelDetector::default()));
-    reg.register("dboost", || Box::new(DboostDetector::default()));
-    reg.register("linear", || Box::new(LinearDetector::default()));
-    reg.register("linearp", || Box::new(LinearPDetector::default()));
-    reg.register("cdm", || Box::new(CdmDetector::default()));
-    reg.register("lsa", || Box::new(LsaDetector::default()));
-    reg.register("svdd", || Box::new(SvddDetector::default()));
-    reg.register("dbod", || Box::new(DbodDetector::default()));
-    reg.register("lof", || Box::new(LofDetector::default()));
-    reg.register("union", || Box::new(UnionDetector::default()));
-}
-
-/// The full standard registry: the core `"autodetect"` detector backed
-/// by `model` plus every baseline. Covers all of
-/// [`adt_core::KNOWN_DETECTORS`], so any validated
-/// [`adt_core::DetectorSpec`] builds.
-pub fn standard_registry(
-    model: std::sync::Arc<adt_core::AutoDetect>,
-) -> adt_core::DetectorRegistry {
-    let mut reg = adt_core::DetectorRegistry::with_model(model);
-    register_baselines(&mut reg);
-    reg
+    Baseline::ALL.map(Baseline::build).into()
 }
 
 #[cfg(test)]
@@ -125,24 +95,19 @@ mod tests {
         assert_eq!(n, 10);
     }
 
-    /// `register_baselines` must cover every canonical detector name
-    /// except `"autodetect"` (which needs a trained model and is
-    /// registered by `DetectorRegistry::with_model`), so any detector
-    /// list that passes config validation also resolves through
-    /// `standard_registry`.
+    /// The roster covers every detector exactly once: Auto-Detect, each
+    /// baseline [`all_baselines`] builds, in order, and Union.
     #[test]
     fn register_baselines_covers_every_known_detector() {
-        let mut reg = adt_core::DetectorRegistry::new();
-        register_baselines(&mut reg);
-        for name in adt_core::KNOWN_DETECTORS {
-            if name == "autodetect" {
-                assert!(!reg.contains(name), "baselines must not fake autodetect");
-                continue;
-            }
-            let spec = adt_core::DetectorSpec::parse(name).unwrap();
-            let det = reg.build(&spec).unwrap();
-            assert!(!det.name().is_empty(), "{name} built a nameless detector");
-        }
-        assert_eq!(reg.names().len(), adt_core::KNOWN_DETECTORS.len() - 1);
+        let built: Vec<&str> = all_baselines().iter().map(|d| d.name()).collect();
+        let listed: Vec<&str> = Baseline::ALL.map(|b| b.build().name()).into();
+        assert_eq!(built, listed);
+        let mut expected = vec![DetectorId::AutoDetect];
+        expected.extend(Baseline::ALL.map(DetectorId::Baseline));
+        expected.push(DetectorId::Union);
+        assert_eq!(DetectorId::ALL.to_vec(), expected);
+        let mut names = DetectorId::ALL.map(DetectorId::name);
+        names.sort_unstable();
+        assert!(names.windows(2).all(|w| w[0] != w[1]), "{names:?}");
     }
 }

@@ -3,93 +3,31 @@
 //! Each member method contributes its ranked predictions; scores are
 //! rank-normalized (method scales are incomparable) and the pooled
 //! prediction takes each value's best normalized rank across methods.
-//!
-//! Since the ensemble redesign this is a thin wrapper over
-//! [`EnsembleEngine`]'s `union` merge policy, which reproduces the
-//! historical rank-pooling byte for byte (see the differential test
-//! below). The type is kept for paper parity — `Union` is one of the
-//! §4.2 comparison methods — and as the `"union"` registry entry.
+//! That is [`EnsembleEngine`] under [`MergePolicy::Union`], which
+//! reproduces the historical rank pooling byte for byte (see the
+//! differential test below); this module builds the roster's
+//! [`crate::DetectorId::Union`] entry.
 
-use adt_core::api::{CostClass, Detector, DetectorInfo, DetectorKind, Prediction};
 use adt_core::ensemble::{EnsembleEngine, MergePolicy};
-use adt_corpus::Column;
 
-/// The Union meta-detector.
-pub struct UnionDetector {
-    members: Vec<Box<dyn Detector>>,
-    /// Maximum predictions per column.
-    pub limit: usize,
-}
-
-impl Default for UnionDetector {
-    fn default() -> Self {
-        UnionDetector {
-            members: crate::all_baselines(),
-            limit: 16,
-        }
-    }
-}
-
-impl UnionDetector {
-    /// A union over an explicit member set.
-    pub fn new(members: Vec<Box<dyn Detector>>) -> Self {
-        UnionDetector { members, limit: 16 }
-    }
-
-    /// Member method names.
-    pub fn member_names(&self) -> Vec<&'static str> {
-        self.members.iter().map(|m| m.name()).collect()
-    }
-}
-
-impl Detector for UnionDetector {
-    fn name(&self) -> &'static str {
-        "Union"
-    }
-
-    fn info(&self) -> DetectorInfo {
-        DetectorInfo {
-            name: self.name(),
-            kind: DetectorKind::Meta,
-            cost: CostClass::Expensive,
-        }
-    }
-
-    fn detect(&self, column: &Column) -> Vec<Prediction> {
-        let mut batch = self.detect_batch(std::slice::from_ref(column));
-        batch.pop().unwrap_or_default()
-    }
-
-    fn detect_batch(&self, columns: &[Column]) -> Vec<Vec<Prediction>> {
-        // Members are borrowed (`&dyn Detector` is itself a Detector), so
-        // the engine is rebuilt per call without cloning the member set.
-        // One worker thread: Union is routinely driven from inside an
-        // already-parallel evaluation loop, and the historical
-        // implementation was serial.
-        let engine = EnsembleEngine::new(
-            self.members
-                .iter()
-                .map(|m| Box::new(m.as_ref()) as Box<dyn Detector + '_>)
-                .collect(),
-        )
+/// The Union meta-detector: an engine over the ten baselines under
+/// [`MergePolicy::Union`], which keeps 16 predictions per column and is
+/// displayed as "Union".
+///
+/// One worker thread: Union is routinely driven from inside an
+/// already-parallel evaluation loop, and the historical implementation
+/// was serial.
+pub fn union() -> EnsembleEngine {
+    EnsembleEngine::new(crate::all_baselines())
         .with_merge(MergePolicy::Union)
         .with_threads(1)
-        .with_limit(self.limit);
-        match engine.run(columns) {
-            Ok(report) => report.predictions,
-            // Unreachable in practice (single-threaded runs execute
-            // inline and the member set is non-empty by construction);
-            // degrade to "no predictions" rather than panicking.
-            Err(_) => columns.iter().map(|_| Vec::new()).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adt_core::api::finalize_predictions;
-    use adt_corpus::SourceTag;
+    use adt_core::api::{finalize_predictions, Detector, Prediction};
+    use adt_corpus::{Column, SourceTag};
     use std::collections::HashMap;
 
     /// The pre-ensemble rank-pooling implementation, preserved verbatim
@@ -142,11 +80,11 @@ mod tests {
     /// rank-pooling implementation on every prediction.
     #[test]
     fn differential_against_rank_pooling_reference() {
-        let u = UnionDetector::default();
+        let u = union();
         let reference_members = crate::all_baselines();
         for (i, col) in mixed_columns().iter().enumerate() {
             let new = u.detect(col);
-            let old = reference_union(&reference_members, u.limit, col);
+            let old = reference_union(&reference_members, 16, col);
             assert_eq!(new.len(), old.len(), "column {i}: prediction count");
             for (n, o) in new.iter().zip(&old) {
                 assert_eq!(n.value, o.value, "column {i}: value order diverged");
@@ -166,12 +104,11 @@ mod tests {
         let mut vals: Vec<String> = (0..20).map(|i| format!("20{i:02}-01-01")).collect();
         vals.push("not a date".to_string());
         let col = Column::new(vals, SourceTag::Csv);
-        let u = UnionDetector::default();
+        let u = union();
         let preds = u.detect(&col);
         assert!(!preds.is_empty());
         assert_eq!(preds[0].value, "not a date");
-        assert_eq!(u.member_names().len(), 10);
-        assert_eq!(u.info().kind, DetectorKind::Meta);
+        assert_eq!(u.name(), "Union");
     }
 
     #[test]
@@ -181,7 +118,7 @@ mod tests {
         // values with normalized-rank confidences in (0, 1].
         let vals: Vec<String> = (0..20).map(|i| format!("20{i:02}-01-01")).collect();
         let col = Column::new(vals.clone(), SourceTag::Csv);
-        let preds = UnionDetector::default().detect(&col);
+        let preds = union().detect(&col);
         for p in &preds {
             assert!(vals.contains(&p.value));
             assert!(p.confidence > 0.0 && p.confidence <= 1.0);

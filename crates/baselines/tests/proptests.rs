@@ -1,7 +1,8 @@
 //! Property tests across all baselines: structural guarantees that hold
 //! for arbitrary columns.
 
-use adt_baselines::{all_baselines, UnionDetector};
+use adt_baselines::all_baselines;
+use adt_baselines::union::union;
 use adt_core::api::Detector;
 use adt_corpus::{Column, SourceTag};
 use adt_rng::check::Gen;
@@ -85,9 +86,8 @@ fn assert_deterministic(col: &Column) {
 
 /// The union only predicts values some member predicted.
 fn assert_union_is_subset_of_members(col: &Column) {
-    let union = UnionDetector::default();
     let union_vals: std::collections::BTreeSet<String> =
-        union.detect(col).into_iter().map(|p| p.value).collect();
+        union().detect(col).into_iter().map(|p| p.value).collect();
     let mut member_vals = std::collections::BTreeSet::new();
     for det in all_baselines() {
         for p in det.detect(col) {

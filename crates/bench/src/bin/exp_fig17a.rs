@@ -6,7 +6,7 @@ use adt_bench::{crude, default_config, emit, ent_corpus, n_dirty, ratio_cases, t
 use adt_core::{build_training_set, train_with_training_set};
 use adt_eval::metrics::{pooled_predictions, precision_at_k};
 use adt_eval::report::Figure;
-use adt_eval::{run_method, Method};
+use adt_eval::run_method;
 use adt_stats::NpmiParams;
 
 fn main() {
@@ -33,8 +33,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let (model, _) =
             train_with_training_set(&corpus, &cfg, &training).expect("training failed");
-        let m = Method::auto_detect(&model);
-        let preds = run_method(&m, &cases);
+        let preds = run_method(&model, &cases);
         let pooled = pooled_predictions(&cases, &preds, 1);
         let p = precision_at_k(&pooled, k);
         eprintln!(

@@ -4,14 +4,16 @@
 //! The paper's human judges are replaced by the generator's exact
 //! injected-error labels (DESIGN.md §1).
 
-use adt_bench::{default_model, emit, figure4_methods, scale};
+use adt_bench::{default_model, emit, scale, FIGURE4};
 use adt_corpus::{generate_labeled_columns, CorpusProfile};
 use adt_eval::metrics::{pooled_predictions, precision_series};
 use adt_eval::report::Figure;
 use adt_eval::{cases_from_labeled, run_method};
+use std::sync::Arc;
 
 fn main() {
     let (model, _corpus, _training) = default_model();
+    let model = Arc::new(model);
 
     // -- Figure 4(a): WIKI --
     let mut wiki = CorpusProfile::wiki(((30_000f64 * scale()) as usize).max(2_000));
@@ -32,9 +34,10 @@ fn main() {
         "fig4a_wiki",
         "precision@k on WIKI-profile labeled columns (paper Fig 4a; k scaled to sample size)",
     );
-    for m in figure4_methods(&model) {
+    for id in FIGURE4 {
+        let m = id.build(&model);
         let t0 = std::time::Instant::now();
-        let preds = run_method(&m, &cases);
+        let preds = run_method(m.as_ref(), &cases);
         let pooled = pooled_predictions(&cases, &preds, 1);
         fig_a.push(m.name(), precision_series(&pooled, &ks));
         eprintln!(
@@ -61,8 +64,9 @@ fn main() {
         "fig4b_csv",
         "precision@k on the 441-column CSV benchmark (paper Fig 4b)",
     );
-    for m in figure4_methods(&model) {
-        let preds = run_method(&m, &cases_csv);
+    for id in FIGURE4 {
+        let m = id.build(&model);
+        let preds = run_method(m.as_ref(), &cases_csv);
         let pooled = pooled_predictions(&cases_csv, &preds, 1);
         fig_b.push(m.name(), precision_series(&pooled, &ks_csv));
     }

@@ -3,14 +3,16 @@
 //! WEB ∪ Pub-XLS, tested on enterprise-profile columns).
 
 use adt_bench::{
-    auto_eval_ks, crude, default_model, emit, ent_corpus, figure5_methods, n_dirty, ratio_cases,
+    auto_eval_ks, crude, default_model, emit, ent_corpus, n_dirty, ratio_cases, FIGURE5,
 };
 use adt_eval::metrics::{pooled_predictions, precision_series};
 use adt_eval::report::Figure;
 use adt_eval::run_method;
+use std::sync::Arc;
 
 fn main() {
     let (model, _train_corpus, _training) = default_model();
+    let model = Arc::new(model);
     let source = ent_corpus();
     let oracle = crude(&source);
     let ks = auto_eval_ks();
@@ -25,8 +27,9 @@ fn main() {
             &format!("fig6_entxls_1to{ratio}"),
             &format!("auto-eval precision@k on Ent-XLS, dirty:clean = 1:{ratio} (paper Fig 6)"),
         );
-        for m in figure5_methods(&model) {
-            let preds = run_method(&m, &cases);
+        for id in FIGURE5 {
+            let m = id.build(&model);
+            let preds = run_method(m.as_ref(), &cases);
             let pooled = pooled_predictions(&cases, &preds, 1);
             fig.push(m.name(), precision_series(&pooled, &ks));
         }

@@ -12,7 +12,7 @@ use adt_bench::{
 use adt_core::{build_training_set, calibrate_candidates, select_and_assemble};
 use adt_eval::metrics::{pooled_predictions, precision_series};
 use adt_eval::report::Figure;
-use adt_eval::{run_method, Method};
+use adt_eval::run_method;
 
 fn main() {
     let corpus = train_corpus();
@@ -56,8 +56,7 @@ fn main() {
             ),
         );
         for (label, model) in &models {
-            let m = Method::auto_detect(model);
-            let preds = run_method(&m, &cases);
+            let preds = run_method(model, &cases);
             let pooled = pooled_predictions(&cases, &preds, 1);
             fig.push(label, precision_series(&pooled, &ks));
         }

@@ -4,10 +4,10 @@
 //! single language (BestOne), all over the same selected languages.
 
 use adt_bench::{auto_eval_ks, crude, default_model, emit, ent_corpus, n_dirty, ratio_cases};
-use adt_core::Aggregator;
+use adt_core::{AggregatedAutoDetect, Aggregator};
 use adt_eval::metrics::{pooled_predictions, precision_series};
 use adt_eval::report::Figure;
-use adt_eval::{run_method, Method};
+use adt_eval::run_method;
 
 fn main() {
     let (model, _corpus, _training) = default_model();
@@ -26,7 +26,11 @@ fn main() {
         "aggregation functions on Ent-XLS 1:10 (paper Fig 8b)",
     );
     for (name, agg) in Aggregator::figure8b_suite(best_one) {
-        let m = Method::auto_detect_with(&model, agg, name);
+        let m = AggregatedAutoDetect {
+            model: &model,
+            aggregator: agg,
+            name,
+        };
         let t0 = std::time::Instant::now();
         let preds = run_method(&m, &cases);
         let pooled = pooled_predictions(&cases, &preds, 1);

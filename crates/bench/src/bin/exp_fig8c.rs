@@ -10,7 +10,7 @@ use adt_bench::{
 use adt_core::{build_training_set, train_with_training_set};
 use adt_eval::metrics::{pooled_predictions, precision_series};
 use adt_eval::report::Figure;
-use adt_eval::{run_method, Method};
+use adt_eval::run_method;
 
 fn main() {
     let cfg = default_config();
@@ -33,8 +33,7 @@ fn main() {
             model.num_languages(),
             report.model_bytes
         );
-        let m = Method::auto_detect(&model);
-        let preds = run_method(&m, &cases);
+        let preds = run_method(&model, &cases);
         let pooled = pooled_predictions(&cases, &preds, 1);
         fig.push(label, precision_series(&pooled, &ks));
     }

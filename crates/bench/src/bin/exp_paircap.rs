@@ -12,7 +12,7 @@ use adt_core::{build_training_set, train_with_training_set, AutoDetectConfig};
 use adt_corpus::{generate_corpus, CorpusProfile};
 use adt_eval::metrics::{pooled_predictions, precision_at_k};
 use adt_eval::testcases::crude_stats;
-use adt_eval::{auto_eval_cases, run_method, Method};
+use adt_eval::{auto_eval_cases, run_method};
 use adt_stats::{NpmiParams, StatsConfig};
 
 fn main() {
@@ -52,8 +52,7 @@ fn main() {
         let (training, _) = build_training_set(&corpus, &cfg);
         let (model, report) =
             train_with_training_set(&corpus, &cfg, &training).expect("training failed");
-        let m = Method::auto_detect(&model);
-        let preds = run_method(&m, &cases);
+        let preds = run_method(&model, &cases);
         let pooled = pooled_predictions(&cases, &preds, 1);
         println!(
             "{:>5} {:>12} {:>10} {:>12} {:>12.3}",

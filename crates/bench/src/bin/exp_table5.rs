@@ -2,8 +2,8 @@
 //! F-Regex, PWheel, dBoost, Linear and Auto-Detect, printed as the
 //! paper's one-row table.
 
-use adt_bench::{crude, default_model, ent_corpus, n_dirty, ratio_cases, table5_detectors};
-use adt_eval::Method;
+use adt_bench::{crude, default_model, ent_corpus, n_dirty, ratio_cases, TABLE5};
+use adt_core::api::Detector;
 use std::time::Instant;
 
 fn main() {
@@ -14,8 +14,8 @@ fn main() {
     eprintln!("[table5] timing over {} Ent-XLS columns", cases.len());
 
     let mut rows: Vec<(String, f64)> = Vec::new();
-    for det in table5_detectors() {
-        let m = Method::baseline(det);
+    for baseline in TABLE5 {
+        let m = baseline.build();
         let t0 = Instant::now();
         for c in &cases {
             std::hint::black_box(m.detect(&c.column));
@@ -25,10 +25,9 @@ fn main() {
             t0.elapsed().as_secs_f64() / cases.len() as f64,
         ));
     }
-    let m = Method::auto_detect(&model);
     let t0 = Instant::now();
     for c in &cases {
-        std::hint::black_box(m.detect(&c.column));
+        std::hint::black_box(model.detect(&c.column));
     }
     rows.push((
         "Auto-Detect".to_string(),

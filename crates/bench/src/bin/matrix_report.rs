@@ -14,15 +14,24 @@
 //! (`scripts/matrix_report.sh quick`). Quick-mode precision numbers are
 //! noisy; use the full run for per-detector precision worth reading.
 
+use adt_baselines::{Baseline, DetectorId};
 use adt_bench::reports::rounded;
 use adt_core::config::LanguageSpace;
-use adt_core::{train, AutoDetectConfig, DetectorSpec};
+use adt_core::{train, AutoDetectConfig, Detector};
 use adt_corpus::{generate_corpus, CorpusProfile, ErrorKind};
 use adt_eval::matrix::{build_scenarios, run_matrix};
 use adt_serve::Json;
 use std::sync::Arc;
 
 const SEED: u64 = 0xAD7_0001;
+
+/// The quick mode's four detectors; the full mode runs [`DetectorId::ALL`].
+const QUICK: [DetectorId; 4] = [
+    DetectorId::AutoDetect,
+    DetectorId::Baseline(Baseline::FRegex),
+    DetectorId::Baseline(Baseline::Dboost),
+    DetectorId::Baseline(Baseline::Cdm),
+];
 
 fn main() {
     let mut quick = false;
@@ -53,12 +62,7 @@ fn main() {
     } else {
         (4_000, 10_000, 40, 80)
     };
-    let detector_list = if quick {
-        "autodetect,fregex,dboost,cdm"
-    } else {
-        "autodetect,fregex,pwheel,dboost,linear,linearp,cdm,lsa,svdd,dbod,lof,union"
-    };
-    let specs = DetectorSpec::parse_list(detector_list).expect("static detector list is valid");
+    let ids: &[DetectorId] = if quick { &QUICK } else { &DetectorId::ALL };
 
     eprintln!("[matrix_report] training {corpus_columns}-column coarse model…");
     let mut train_profile = CorpusProfile::web(corpus_columns);
@@ -73,21 +77,24 @@ fn main() {
         eprintln!("FAIL: training: {e}");
         std::process::exit(1);
     });
-    let registry = adt_baselines::standard_registry(Arc::new(model));
+    let model = Arc::new(model);
+    let built: Vec<Box<dyn Detector>> = ids.iter().map(|id| id.build(&model)).collect();
+    let detectors: Vec<(&str, &dyn Detector)> = ids
+        .iter()
+        .zip(&built)
+        .map(|(id, d)| (id.name(), d.as_ref()))
+        .collect();
 
     let mut eval_profile = CorpusProfile::web(1);
     eval_profile.dirty_rate = 0.0;
     let scenarios = build_scenarios(&eval_profile, n_dirty, n_clean, SEED);
     eprintln!(
         "[matrix_report] {} detector(s) × {} error class(es), {} case(s) per scenario…",
-        specs.len(),
+        ids.len(),
         scenarios.len(),
         scenarios.first().map_or(0, |s| s.cases.len())
     );
-    let report = run_matrix(&registry, &specs, &scenarios, threads).unwrap_or_else(|e| {
-        eprintln!("FAIL: matrix run: {e}");
-        std::process::exit(1);
-    });
+    let report = run_matrix(&detectors, &scenarios, threads);
 
     // Console table: one row per detector, one column per class, prior
     // at the end.
@@ -97,15 +104,15 @@ fn main() {
         print!(" {:>5}", &name[..name.len().min(5)]);
     }
     println!(" {:>6}", "prior");
-    for (spec, (_, prior)) in specs.iter().zip(&report.priors) {
-        print!("{:<12}", spec.name());
-        for cell in report.row(spec.name()) {
+    for (id, (_, prior)) in ids.iter().zip(&report.priors) {
+        print!("{:<12}", id.name());
+        for cell in report.row(id.name()) {
             print!(" {:>5.2}", cell.precision);
         }
         println!(" {prior:>6.2}");
     }
 
-    let json = json_report(mode, &specs, &report).to_text() + "\n";
+    let json = json_report(mode, ids, &report).to_text() + "\n";
     match out {
         Some(path) => {
             std::fs::write(&path, &json).unwrap_or_else(|e| {
@@ -118,7 +125,7 @@ fn main() {
     }
 }
 
-fn json_report(mode: &str, specs: &[DetectorSpec], report: &adt_eval::MatrixReport) -> Json {
+fn json_report(mode: &str, ids: &[DetectorId], report: &adt_eval::MatrixReport) -> Json {
     let cells = report
         .cells
         .iter()
@@ -156,7 +163,7 @@ fn json_report(mode: &str, specs: &[DetectorSpec], report: &adt_eval::MatrixRepo
         ),
         (
             "detectors",
-            Json::Arr(specs.iter().map(|d| Json::str(d.name())).collect()),
+            Json::Arr(ids.iter().map(|id| Json::str(id.name())).collect()),
         ),
         ("cells", Json::Arr(cells)),
         ("priors", Json::Obj(priors)),

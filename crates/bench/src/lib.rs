@@ -13,15 +13,11 @@
 
 pub mod reports;
 
-use adt_baselines::{
-    CdmDetector, DbodDetector, DboostDetector, FRegexDetector, LinearDetector, LinearPDetector,
-    LofDetector, LsaDetector, PotterWheelDetector, SvddDetector, UnionDetector,
-};
-use adt_core::api::Detector;
+use adt_baselines::{Baseline, DetectorId};
 use adt_core::{AutoDetect, AutoDetectConfig, TrainingSet};
 use adt_corpus::{generate_corpus, Corpus, CorpusProfile};
 use adt_eval::testcases::crude_stats;
-use adt_eval::{auto_eval_cases, Method, TestCase};
+use adt_eval::{auto_eval_cases, TestCase};
 use adt_stats::LanguageStats;
 use std::path::PathBuf;
 
@@ -144,46 +140,42 @@ pub fn auto_eval_ks() -> Vec<usize> {
     vec![n / 40, n / 20, n / 4, n / 2, n]
 }
 
-/// The seven best-performing methods reported in Figures 5–6.
-pub fn figure5_methods(model: &AutoDetect) -> Vec<Method<'_>> {
-    vec![
-        Method::auto_detect(model),
-        Method::baseline(Box::new(FRegexDetector::default())),
-        Method::baseline(Box::new(PotterWheelDetector::default())),
-        Method::baseline(Box::new(DboostDetector::default())),
-        Method::baseline(Box::new(SvddDetector::default())),
-        Method::baseline(Box::new(DbodDetector::default())),
-        Method::baseline(Box::new(LofDetector::default())),
-    ]
-}
+/// The seven best-performing methods reported in Figures 5–6, in
+/// legend order.
+pub const FIGURE5: [DetectorId; 7] = [
+    DetectorId::AutoDetect,
+    DetectorId::Baseline(Baseline::FRegex),
+    DetectorId::Baseline(Baseline::PotterWheel),
+    DetectorId::Baseline(Baseline::Dboost),
+    DetectorId::Baseline(Baseline::Svdd),
+    DetectorId::Baseline(Baseline::Dbod),
+    DetectorId::Baseline(Baseline::Lof),
+];
 
-/// The full twelve-method roster of Figure 4.
-pub fn figure4_methods(model: &AutoDetect) -> Vec<Method<'_>> {
-    vec![
-        Method::auto_detect(model),
-        Method::baseline(Box::new(LinearDetector::default())),
-        Method::baseline(Box::new(LinearPDetector::default())),
-        Method::baseline(Box::new(FRegexDetector::default())),
-        Method::baseline(Box::new(PotterWheelDetector::default())),
-        Method::baseline(Box::new(DboostDetector::default())),
-        Method::baseline(Box::new(CdmDetector::default())),
-        Method::baseline(Box::new(LsaDetector::default())),
-        Method::baseline(Box::new(SvddDetector::default())),
-        Method::baseline(Box::new(DbodDetector::default())),
-        Method::baseline(Box::new(LofDetector::default())),
-        Method::baseline(Box::new(UnionDetector::default())),
-    ]
-}
+/// The full twelve-method roster of Figure 4, in legend order (Linear
+/// and LinearP come before F-Regex, unlike [`DetectorId::ALL`]).
+pub const FIGURE4: [DetectorId; 12] = [
+    DetectorId::AutoDetect,
+    DetectorId::Baseline(Baseline::Linear),
+    DetectorId::Baseline(Baseline::LinearP),
+    DetectorId::Baseline(Baseline::FRegex),
+    DetectorId::Baseline(Baseline::PotterWheel),
+    DetectorId::Baseline(Baseline::Dboost),
+    DetectorId::Baseline(Baseline::Cdm),
+    DetectorId::Baseline(Baseline::Lsa),
+    DetectorId::Baseline(Baseline::Svdd),
+    DetectorId::Baseline(Baseline::Dbod),
+    DetectorId::Baseline(Baseline::Lof),
+    DetectorId::Union,
+];
 
-/// The five methods timed in Table 5.
-pub fn table5_detectors() -> Vec<Box<dyn Detector>> {
-    vec![
-        Box::new(FRegexDetector::default()),
-        Box::new(PotterWheelDetector::default()),
-        Box::new(DboostDetector::default()),
-        Box::new(LinearDetector::default()),
-    ]
-}
+/// The baselines timed in Table 5 (Auto-Detect is its fifth row).
+pub const TABLE5: [Baseline; 4] = [
+    Baseline::FRegex,
+    Baseline::PotterWheel,
+    Baseline::Dboost,
+    Baseline::Linear,
+];
 
 /// Prints a figure's table and saves the figure; a failed save names
 /// the path and exits 1.
@@ -209,14 +201,11 @@ mod tests {
 
     #[test]
     fn method_rosters_have_paper_counts() {
-        // Dummy model with no languages is fine for counting.
-        let model = AutoDetect {
-            languages: vec![],
-            npmi: adt_stats::NpmiParams::default(),
-            precision_target: 0.95,
-            max_distinct_values: 64,
-        };
-        assert_eq!(figure5_methods(&model).len(), 7);
-        assert_eq!(figure4_methods(&model).len(), 12);
+        assert_eq!(FIGURE5.len(), 7);
+        assert_eq!(FIGURE4.len(), 12);
+        // Figure 4 shows every detector exactly once.
+        for id in DetectorId::ALL {
+            assert_eq!(FIGURE4.iter().filter(|&&f| f == id).count(), 1, "{id:?}");
+        }
     }
 }

@@ -1,30 +1,20 @@
 //! The common detector interface — the single canonical surface every
 //! detection method implements.
 //!
-//! Moved here from `adt-baselines` so that Auto-Detect itself and every
-//! baseline implement one trait: evaluation drivers, the ensemble
-//! engine, and services consume a uniform `dyn Detector` instead of
-//! special-casing Auto-Detect. `adt-baselines` re-exports these items
-//! for compatibility.
+//! Auto-Detect itself and every §4.2 baseline implement one
+//! [`Detector`] trait, so evaluation drivers, the ensemble engine, and
+//! services consume a uniform `dyn Detector` instead of special-casing
+//! Auto-Detect. `detect_batch` has a default per-column implementation;
+//! detectors with amortizable setup (Auto-Detect's pattern cache)
+//! override it so whole CSV batches are scanned against one warm cache.
 //!
-//! Three layers:
-//!
-//! * [`Detector`] — per-column and batch detection. `detect_batch` has a
-//!   default per-column implementation; detectors with amortizable setup
-//!   (Auto-Detect's pattern cache) override it so whole CSV batches are
-//!   scanned against one warm cache.
-//! * [`DetectorInfo`] — a static descriptor (name, [`DetectorKind`],
-//!   [`CostClass`]) so engines can schedule and report without
-//!   downcasting.
-//! * [`DetectorRegistry`] / [`DetectorSpec`] — typed construction of
-//!   detectors by configuration name (`"autodetect"`, `"fregex"`, …),
-//!   with unknown names surfacing as [`AdtError::Config`].
+//! Which detectors exist, and their configuration names, is the
+//! roster's business: `adt_baselines::DetectorId`, the one crate that
+//! can name every method.
 
 use crate::aggregate::Aggregator;
 use crate::detector::{AutoDetect, PatternCache};
-use crate::error::AdtError;
 use adt_corpus::Column;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One predicted error within a column.
@@ -37,39 +27,6 @@ pub struct Prediction {
     pub confidence: f64,
 }
 
-/// What a detector's signal is derived from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectorKind {
-    /// Corpus-trained co-occurrence statistics (Auto-Detect).
-    CorpusStatistics,
-    /// Purely local single-column heuristics (the §4.2 baselines).
-    SingleColumn,
-    /// Composition of other detectors (Union, ensembles).
-    Meta,
-}
-
-/// Rough per-column cost, for scheduling and reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CostClass {
-    /// Linear-ish in distinct values (regex matchers, counters).
-    Cheap,
-    /// Pairwise in distinct values or model probes.
-    Moderate,
-    /// Superquadratic / iterative refinement (LSA, LOF, compression).
-    Expensive,
-}
-
-/// Static descriptor of a detector, surfaced in reports and `/v1/stats`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetectorInfo {
-    /// Display name (matching the paper's legend).
-    pub name: &'static str,
-    /// Signal provenance.
-    pub kind: DetectorKind,
-    /// Rough per-column cost.
-    pub cost: CostClass,
-}
-
 /// A single-column error detector.
 pub trait Detector: Send + Sync {
     /// The method's display name (matching the paper's legend).
@@ -78,16 +35,6 @@ pub trait Detector: Send + Sync {
     /// Ranked error predictions for one column, most confident first.
     /// An empty vector means "column looks clean".
     fn detect(&self, column: &Column) -> Vec<Prediction>;
-
-    /// Static descriptor. The default assumes a cheap local method;
-    /// override where the engine should know better.
-    fn info(&self) -> DetectorInfo {
-        DetectorInfo {
-            name: self.name(),
-            kind: DetectorKind::SingleColumn,
-            cost: CostClass::Cheap,
-        }
-    }
 
     /// Ranked predictions for a whole batch of columns, one vector per
     /// input column. `detect_batch(cols)[i]` is always identical to
@@ -99,42 +46,8 @@ pub trait Detector: Send + Sync {
     }
 }
 
-impl<T: Detector + ?Sized> Detector for &T {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn detect(&self, column: &Column) -> Vec<Prediction> {
-        (**self).detect(column)
-    }
-
-    fn info(&self) -> DetectorInfo {
-        (**self).info()
-    }
-
-    fn detect_batch(&self, columns: &[Column]) -> Vec<Vec<Prediction>> {
-        (**self).detect_batch(columns)
-    }
-}
-
-impl<T: Detector + ?Sized> Detector for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn detect(&self, column: &Column) -> Vec<Prediction> {
-        (**self).detect(column)
-    }
-
-    fn info(&self) -> DetectorInfo {
-        (**self).info()
-    }
-
-    fn detect_batch(&self, columns: &[Column]) -> Vec<Vec<Prediction>> {
-        (**self).detect_batch(columns)
-    }
-}
-
+/// A shared model (the roster builds Auto-Detect around an
+/// `Arc<AutoDetect>`) is itself a detector.
 impl<T: Detector + ?Sized> Detector for Arc<T> {
     fn name(&self) -> &'static str {
         (**self).name()
@@ -142,10 +55,6 @@ impl<T: Detector + ?Sized> Detector for Arc<T> {
 
     fn detect(&self, column: &Column) -> Vec<Prediction> {
         (**self).detect(column)
-    }
-
-    fn info(&self) -> DetectorInfo {
-        (**self).info()
     }
 
     fn detect_batch(&self, columns: &[Column]) -> Vec<Vec<Prediction>> {
@@ -162,14 +71,6 @@ impl Detector for AutoDetect {
 
     fn detect(&self, column: &Column) -> Vec<Prediction> {
         findings_to_predictions(self.detect_column(column))
-    }
-
-    fn info(&self) -> DetectorInfo {
-        DetectorInfo {
-            name: self.name(),
-            kind: DetectorKind::CorpusStatistics,
-            cost: CostClass::Moderate,
-        }
     }
 
     /// One [`PatternCache`] serves the whole batch: every distinct value
@@ -247,146 +148,6 @@ pub fn value_counts(column: &Column) -> Vec<(String, usize)> {
     out
 }
 
-/// Canonical configuration names for every detector the workspace ships,
-/// lowercase, in the paper's presentation order. Configuration layers
-/// validate against this list so an unknown `--detectors` entry fails
-/// fast with a typed error even before a registry is assembled.
-pub const KNOWN_DETECTORS: [&str; 12] = [
-    "autodetect",
-    "fregex",
-    "pwheel",
-    "dboost",
-    "linear",
-    "linearp",
-    "cdm",
-    "lsa",
-    "svdd",
-    "dbod",
-    "lof",
-    "union",
-];
-
-/// Checks `name` against [`KNOWN_DETECTORS`], returning a typed
-/// [`AdtError::Config`] naming the offender and the valid choices.
-pub fn validate_detector_name(name: &str) -> Result<(), AdtError> {
-    if KNOWN_DETECTORS.contains(&name) {
-        Ok(())
-    } else {
-        Err(AdtError::Config(format!(
-            "unknown detector '{name}' (known: {})",
-            KNOWN_DETECTORS.join(", ")
-        )))
-    }
-}
-
-/// A typed, validated request for one detector by configuration name.
-///
-/// Parsing lowercases and trims, so `" F-Regex "` and `"fregex"` both
-/// resolve to the canonical `fregex`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetectorSpec {
-    /// Canonical lowercase name, guaranteed to be in [`KNOWN_DETECTORS`].
-    name: String,
-}
-
-impl DetectorSpec {
-    /// Parses one detector name, normalizing case/whitespace/punctuation
-    /// and validating against [`KNOWN_DETECTORS`].
-    pub fn parse(raw: &str) -> Result<Self, AdtError> {
-        let name: String = raw
-            .trim()
-            .chars()
-            .filter(|c| *c != '-' && *c != '_')
-            .collect::<String>()
-            .to_ascii_lowercase();
-        validate_detector_name(&name)?;
-        Ok(DetectorSpec { name })
-    }
-
-    /// Parses a comma-separated detector list (`"autodetect,fregex,cdm"`),
-    /// rejecting empties, duplicates, and unknown names through
-    /// [`crate::ensemble::parse_ensemble`].
-    pub fn parse_list(raw: &str) -> Result<Vec<Self>, AdtError> {
-        crate::ensemble::parse_ensemble(raw.split(','), None).map(|(specs, _)| specs)
-    }
-
-    /// The canonical lowercase name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-type DetectorFactory = Box<dyn Fn() -> Box<dyn Detector> + Send + Sync>;
-
-/// Constructs detectors by canonical configuration name.
-///
-/// `adt-core` registers `"autodetect"` (it owns the model); the baseline
-/// crate layers its ten methods plus `"union"` on top via its
-/// `standard_registry` helper. Factories are stored in a `BTreeMap` so
-/// `names()` iteration order is deterministic.
-pub struct DetectorRegistry {
-    factories: BTreeMap<String, DetectorFactory>,
-}
-
-impl DetectorRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        DetectorRegistry {
-            factories: BTreeMap::new(),
-        }
-    }
-
-    /// A registry with the core `"autodetect"` detector backed by
-    /// `model`.
-    pub fn with_model(model: Arc<AutoDetect>) -> Self {
-        let mut reg = DetectorRegistry::new();
-        reg.register("autodetect", move || Box::new(Arc::clone(&model)));
-        reg
-    }
-
-    /// Registers (or replaces) the factory for `name`.
-    pub fn register<F>(&mut self, name: &str, factory: F)
-    where
-        F: Fn() -> Box<dyn Detector> + Send + Sync + 'static,
-    {
-        self.factories.insert(name.to_string(), Box::new(factory));
-    }
-
-    /// Whether `name` has a registered factory.
-    pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
-    }
-
-    /// Registered names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.factories.keys().map(|k| k.as_str()).collect()
-    }
-
-    /// Builds the detector registered under `spec`, or a typed
-    /// [`AdtError::Config`] naming the offender.
-    pub fn build(&self, spec: &DetectorSpec) -> Result<Box<dyn Detector>, AdtError> {
-        match self.factories.get(spec.name()) {
-            Some(f) => Ok(f()),
-            None => Err(AdtError::Config(format!(
-                "detector '{}' is not registered (available: {})",
-                spec.name(),
-                self.names().join(", ")
-            ))),
-        }
-    }
-
-    /// Builds one detector per spec, preserving order.
-    pub fn build_set(&self, specs: &[DetectorSpec]) -> Result<Vec<Box<dyn Detector>>, AdtError> {
-        specs.iter().map(|s| self.build(s)).collect()
-    }
-}
-
-impl Default for DetectorRegistry {
-    fn default() -> Self {
-        DetectorRegistry::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,47 +180,6 @@ mod tests {
         let col = Column::from_strs(&["x", "y", "x", "", "x"], SourceTag::Csv);
         let counts = value_counts(&col);
         assert_eq!(counts, vec![("y".to_string(), 1), ("x".to_string(), 3)]);
-    }
-
-    #[test]
-    fn detector_spec_normalizes_and_validates() {
-        assert_eq!(DetectorSpec::parse(" F-Regex ").unwrap().name(), "fregex");
-        assert_eq!(
-            DetectorSpec::parse("Auto_Detect").unwrap().name(),
-            "autodetect"
-        );
-        let err = DetectorSpec::parse("nope").unwrap_err();
-        assert!(matches!(err, AdtError::Config(ref m) if m.contains("nope")));
-    }
-
-    #[test]
-    fn detector_spec_list_rejects_dupes_and_empties() {
-        let specs = DetectorSpec::parse_list("autodetect,fregex,cdm").unwrap();
-        assert_eq!(
-            specs.iter().map(|s| s.name()).collect::<Vec<_>>(),
-            vec!["autodetect", "fregex", "cdm"]
-        );
-        assert!(DetectorSpec::parse_list("fregex,,cdm").is_err());
-        assert!(DetectorSpec::parse_list("fregex,fregex").is_err());
-        assert!(DetectorSpec::parse_list("").is_err());
-    }
-
-    #[test]
-    fn registry_builds_by_name_and_reports_unregistered() {
-        let model = Arc::new(crate::detector::testkit::tiny_model());
-        let reg = DetectorRegistry::with_model(Arc::clone(&model));
-        assert!(reg.contains("autodetect"));
-        let spec = DetectorSpec::parse("autodetect").unwrap();
-        let det = reg.build(&spec).unwrap();
-        assert_eq!(det.name(), "Auto-Detect");
-        assert_eq!(det.info().kind, DetectorKind::CorpusStatistics);
-
-        let missing = DetectorSpec::parse("lof").unwrap();
-        match reg.build(&missing) {
-            Err(AdtError::Config(m)) => assert!(m.contains("lof")),
-            Err(other) => panic!("wrong error kind: {other}"),
-            Ok(_) => panic!("building an unregistered detector succeeded"),
-        }
     }
 
     #[test]

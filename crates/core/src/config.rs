@@ -282,7 +282,6 @@ impl AutoDetectConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MergePolicy;
 
     #[test]
     fn default_matches_paper_knobs() {
@@ -359,53 +358,6 @@ mod tests {
             .training_examples(0)
             .build()
             .is_err());
-    }
-
-    // The detector set and merge policy are not configuration fields:
-    // every ensemble surface validates them with `parse_ensemble`, next
-    // to a configuration built here. The four tests below pin the
-    // guarantees the builder used to give.
-
-    #[test]
-    fn builder_accepts_valid_detector_sets() {
-        AutoDetectConfig::builder().build().unwrap();
-        let (specs, merge) =
-            crate::parse_ensemble(["autodetect", "fregex", "cdm"], Some("vote:2")).unwrap();
-        assert_eq!(specs.len(), 3);
-        assert_eq!(specs[1].name(), "fregex");
-        assert_eq!(merge, MergePolicy::Vote(2));
-    }
-
-    #[test]
-    fn builder_rejects_unknown_detector_name() {
-        let err = crate::parse_ensemble(["autodetect", "nonesuch"], None).unwrap_err();
-        assert!(
-            matches!(err, AdtError::Config(ref m) if m.contains("nonesuch")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn builder_rejects_bad_detector_sets_and_merges() {
-        // Duplicate member.
-        assert!(crate::parse_ensemble(["fregex", "fregex"], None).is_err());
-        // Empty set.
-        assert!(crate::parse_ensemble(Vec::<String>::new(), None).is_err());
-        // Malformed vote threshold.
-        assert!(crate::parse_ensemble(["autodetect", "fregex"], Some("vote:0")).is_err());
-        // Vote threshold above the member count can never fire.
-        assert!(crate::parse_ensemble(["autodetect", "fregex"], Some("vote:3")).is_err());
-        // `calibrated` is no longer a policy.
-        assert!(crate::parse_ensemble(["autodetect", "fregex"], Some("calibrated")).is_err());
-    }
-
-    #[test]
-    fn default_detector_set_is_autodetect_union() {
-        AutoDetectConfig::default().validate().unwrap();
-        let (specs, merge) = crate::parse_ensemble(["autodetect"], None).unwrap();
-        assert_eq!(specs.len(), 1);
-        assert_eq!(specs[0].name(), "autodetect");
-        assert_eq!(merge, MergePolicy::Union);
     }
 
     /// Deferred training (the only mode) takes any `sketch_fraction`

@@ -279,9 +279,6 @@ pub struct ScanStats {
     pub hash_nanos: u64,
     /// Nanoseconds spent scoring pairs and attributing suspects.
     pub score_nanos: u64,
-    /// Per-detector instrumentation lanes recorded by the ensemble
-    /// engine (empty for plain single-model scans). Merged by name.
-    pub detectors: Vec<DetectorLane>,
     /// Which side of the memo switch each column took (see
     /// [`KernelChoices`]).
     pub kernel_choices: KernelChoices,
@@ -300,22 +297,6 @@ pub struct KernelChoices {
     /// Dense columns (every language keeps at least ¾ of the values as
     /// distinct patterns), scored memo-free.
     pub direct: u64,
-}
-
-/// One detector's share of an ensemble scan: wall time and output
-/// volume, accumulated across columns and worker threads.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DetectorLane {
-    /// The detector's display name.
-    pub name: String,
-    /// Nanoseconds of wall time spent inside this detector's
-    /// `detect_batch` calls (summed across chunks, so with multiple
-    /// workers this can exceed the scan's elapsed time).
-    pub wall_nanos: u64,
-    /// Predictions emitted before merging.
-    pub predictions: u64,
-    /// Columns this detector scanned.
-    pub columns: u64,
 }
 
 impl ScanStats {
@@ -362,16 +343,6 @@ impl ScanStats {
         self.score_nanos += other.score_nanos;
         self.kernel_choices.group += other.kernel_choices.group;
         self.kernel_choices.direct += other.kernel_choices.direct;
-        for lane in &other.detectors {
-            match self.detectors.iter_mut().find(|l| l.name == lane.name) {
-                Some(mine) => {
-                    mine.wall_nanos += lane.wall_nanos;
-                    mine.predictions += lane.predictions;
-                    mine.columns += lane.columns;
-                }
-                None => self.detectors.push(lane.clone()),
-            }
-        }
     }
 }
 
@@ -503,6 +474,19 @@ impl AutoDetect {
         (out, total)
     }
 
+    /// [`AutoDetect::distinct_capped`] for a column already tallied:
+    /// `counts` holds each distinct value once, in any order. The same
+    /// cap and tie-break (count descending, then value) apply, so the
+    /// streamed and reference paths cap exactly as a materialized
+    /// column does.
+    fn counts_capped<'a>(&self, counts: &'a [(String, usize)]) -> (Vec<(&'a str, usize)>, usize) {
+        let mut distinct: Vec<(&str, usize)> =
+            counts.iter().map(|(v, c)| (v.as_str(), *c)).collect();
+        distinct.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        distinct.truncate(self.max_distinct_values);
+        (distinct, counts.len())
+    }
+
     /// Detects incompatible values in a column with the default
     /// (Auto-Detect) aggregation. Findings are deduplicated per suspect
     /// value and sorted by descending confidence.
@@ -576,11 +560,7 @@ impl AutoDetect {
         aggregator: Aggregator,
         cache: &mut PatternCache,
     ) -> (Vec<ColumnFinding>, ScanStats) {
-        let total_distinct = counts.len();
-        let mut distinct: Vec<(&str, usize)> =
-            counts.iter().map(|(v, c)| (v.as_str(), *c)).collect();
-        distinct.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        distinct.truncate(self.max_distinct_values);
+        let (distinct, total_distinct) = self.counts_capped(counts);
         self.scan_pairs(&distinct, total_distinct, aggregator, cache)
     }
 
@@ -937,13 +917,7 @@ impl AutoDetect {
                 });
             }
         }
-        out.sort_by(|a, b| {
-            b.finding
-                .confidence
-                .total_cmp(&a.finding.confidence)
-                .then_with(|| a.column_index.cmp(&b.column_index))
-                .then_with(|| a.finding.suspect.cmp(&b.finding.suspect))
-        });
+        rank_table_findings(&mut out);
         out
     }
 }
@@ -972,11 +946,7 @@ impl AutoDetect {
         aggregator: Aggregator,
         cache: &mut PatternCache,
     ) -> (Vec<ColumnFinding>, ScanStats) {
-        let total_distinct = counts.len();
-        let mut distinct: Vec<(&str, usize)> =
-            counts.iter().map(|(v, c)| (v.as_str(), *c)).collect();
-        distinct.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        distinct.truncate(self.max_distinct_values);
+        let (distinct, total_distinct) = self.counts_capped(counts);
         self.scan_pairs_reference(&distinct, total_distinct, aggregator, cache)
     }
 
@@ -1158,6 +1128,20 @@ pub struct TableFinding {
     pub column_header: Option<String>,
     /// The column-level finding.
     pub finding: ColumnFinding,
+}
+
+/// Orders a table's findings the one way every surface reports them:
+/// confidence descending, then column index, then suspect. The serial
+/// reference ([`AutoDetect::detect_table`]), the [`crate::ScanEngine`]
+/// and the server's ensemble path all call this.
+pub fn rank_table_findings(findings: &mut [TableFinding]) {
+    findings.sort_by(|a, b| {
+        b.finding
+            .confidence
+            .total_cmp(&a.finding.confidence)
+            .then_with(|| a.column_index.cmp(&b.column_index))
+            .then_with(|| a.finding.suspect.cmp(&b.finding.suspect))
+    });
 }
 
 #[cfg(test)]
@@ -1417,12 +1401,6 @@ mod tests {
             findings_per_language: vec![1, 0],
             hash_nanos: 10,
             score_nanos: 20,
-            detectors: vec![DetectorLane {
-                name: "Auto-Detect".into(),
-                wall_nanos: 7,
-                predictions: 2,
-                columns: 1,
-            }],
             kernel_choices: KernelChoices {
                 group: 1,
                 direct: 0,
@@ -1439,20 +1417,6 @@ mod tests {
             findings_per_language: vec![0, 2],
             hash_nanos: 5,
             score_nanos: 5,
-            detectors: vec![
-                DetectorLane {
-                    name: "Auto-Detect".into(),
-                    wall_nanos: 3,
-                    predictions: 1,
-                    columns: 2,
-                },
-                DetectorLane {
-                    name: "F-Regex".into(),
-                    wall_nanos: 9,
-                    predictions: 4,
-                    columns: 2,
-                },
-            ],
             kernel_choices: KernelChoices {
                 group: 2,
                 direct: 3,
@@ -1476,14 +1440,6 @@ mod tests {
                 direct: 3
             }
         );
-        // Lanes merge by name: Auto-Detect sums, F-Regex is adopted.
-        assert_eq!(a.detectors.len(), 2);
-        assert_eq!(a.detectors[0].name, "Auto-Detect");
-        assert_eq!(a.detectors[0].wall_nanos, 10);
-        assert_eq!(a.detectors[0].predictions, 3);
-        assert_eq!(a.detectors[0].columns, 3);
-        assert_eq!(a.detectors[1].name, "F-Regex");
-        assert_eq!(a.detectors[1].predictions, 4);
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! number of distinct values, not rows.
 
 use crate::aggregate::Aggregator;
-use crate::detector::{AutoDetect, ColumnFinding, PatternCache, ScanStats, TableFinding};
+use crate::detector::{
+    rank_table_findings, AutoDetect, ColumnFinding, PatternCache, ScanStats, TableFinding,
+};
 use crate::error::AdtError;
 use adt_corpus::{Column, Corpus, CsvRecords, Table};
 use adt_stats::pipeline::join_all;
@@ -491,13 +493,7 @@ impl ScanEngine {
                 });
             }
         }
-        findings.sort_by(|a, b| {
-            b.finding
-                .confidence
-                .total_cmp(&a.finding.confidence)
-                .then_with(|| a.column_index.cmp(&b.column_index))
-                .then_with(|| a.finding.suspect.cmp(&b.finding.suspect))
-        });
+        rank_table_findings(&mut findings);
         ScanReport {
             findings,
             columns,

@@ -15,7 +15,7 @@
 //!   count; batches too small to amortize the fan-out run serially,
 //!   which changes scheduling only, not decomposition;
 //! * per-detector wall time and prediction counts are recorded as
-//!   [`DetectorLane`]s in [`ScanStats`];
+//!   [`DetectorLane`]s in the [`EnsembleReport`];
 //! * rankings are merged by a pluggable [`MergePolicy`], deduping by
 //!   (column, value) with the deterministic confidence-then-value
 //!   ordering of [`finalize_predictions`].
@@ -28,9 +28,12 @@
 //! breaks confidence ties lexicographically. Wall-clock readings feed
 //! timing lanes only, never findings, so merged output is byte-identical
 //! at any thread count.
+//!
+//! The engine is itself a [`Detector`]: the paper's Union baseline is an
+//! engine over the ten §4.2 baselines under [`MergePolicy::Union`]
+//! (`adt_baselines::DetectorId::Union`).
 
-use crate::api::{finalize_predictions, Detector, DetectorSpec, Prediction};
-use crate::detector::{DetectorLane, ScanStats};
+use crate::api::{finalize_predictions, Detector, Prediction};
 use crate::engine::parallel_map;
 use crate::error::AdtError;
 use adt_corpus::Column;
@@ -79,6 +82,28 @@ impl MergePolicy {
         )))
     }
 
+    /// The policy a requested ensemble of `members` detectors runs
+    /// under: `merge` parsed as by [`MergePolicy::parse`] (`None` means
+    /// `union`). An empty ensemble and a `vote:k` threshold above the
+    /// member count, which could never fire, are typed
+    /// [`AdtError::Config`] errors too.
+    pub fn for_ensemble(merge: Option<&str>, members: usize) -> Result<Self, AdtError> {
+        if members == 0 {
+            return Err(AdtError::Config(
+                "an ensemble needs at least one detector".into(),
+            ));
+        }
+        let merge = MergePolicy::parse(merge.unwrap_or("union"))?;
+        if let MergePolicy::Vote(k) = merge {
+            if k > members {
+                return Err(AdtError::Config(format!(
+                    "merge vote:{k} needs at least {k} detectors, got {members}"
+                )));
+            }
+        }
+        Ok(merge)
+    }
+
     /// The configuration spelling (`union`, `vote:2`).
     pub fn label(&self) -> String {
         match self {
@@ -88,47 +113,20 @@ impl MergePolicy {
     }
 }
 
-/// Validates an ensemble request: a detector set by configuration name
-/// and a merge policy spelling (`None` means `union`). The one check
-/// every ensemble surface (`autodetect scan`, `/v1/scan`) runs before
-/// building detectors: unknown names, duplicates (`fregex` and
-/// `f-regex` are one detector), an empty set, a malformed policy, and a
-/// `vote:k` threshold above the member count are all typed
-/// [`AdtError::Config`] errors naming the offending input.
-pub fn parse_ensemble<I, S>(
-    detectors: I,
-    merge: Option<&str>,
-) -> Result<(Vec<DetectorSpec>, MergePolicy), AdtError>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut specs: Vec<DetectorSpec> = Vec::new();
-    for name in detectors {
-        let spec = DetectorSpec::parse(name.as_ref())?;
-        if specs.contains(&spec) {
-            return Err(AdtError::Config(format!(
-                "duplicate detector '{}'",
-                spec.name()
-            )));
-        }
-        specs.push(spec);
-    }
-    if specs.is_empty() {
-        return Err(AdtError::Config(
-            "an ensemble needs at least one detector".into(),
-        ));
-    }
-    let merge = MergePolicy::parse(merge.unwrap_or("union"))?;
-    if let MergePolicy::Vote(k) = merge {
-        if k > specs.len() {
-            return Err(AdtError::Config(format!(
-                "merge vote:{k} needs at least {k} detectors, got {}",
-                specs.len()
-            )));
-        }
-    }
-    Ok((specs, merge))
+/// One detector's share of an ensemble scan: wall time and output
+/// volume, accumulated across columns and worker threads.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DetectorLane {
+    /// The detector's display name.
+    pub name: String,
+    /// Nanoseconds of wall time spent inside this detector's
+    /// `detect_batch` calls (summed across chunks, so with multiple
+    /// workers this can exceed the scan's elapsed time).
+    pub wall_nanos: u64,
+    /// Predictions emitted before merging.
+    pub predictions: u64,
+    /// Columns this detector scanned.
+    pub columns: u64,
 }
 
 /// The merged result of one ensemble scan.
@@ -136,8 +134,8 @@ where
 pub struct EnsembleReport {
     /// Merged, ranked predictions per input column.
     pub predictions: Vec<Vec<Prediction>>,
-    /// Scan counters with one [`DetectorLane`] per member.
-    pub stats: ScanStats,
+    /// One [`DetectorLane`] per member, in member order.
+    pub lanes: Vec<DetectorLane>,
     /// Nanoseconds spent merging rankings (single-threaded tail).
     pub merge_nanos: u64,
     /// End-to-end wall nanoseconds for the whole run.
@@ -164,27 +162,24 @@ fn chunk_width(columns: usize) -> usize {
     columns.div_ceil(16).clamp(8, 32)
 }
 
+/// Merged predictions kept per column: the paper-parity cap of the
+/// historical Union baseline.
+const LIMIT: usize = 16;
+
 /// Runs a detector set over column batches and merges their rankings.
-///
-/// The lifetime lets member detectors borrow (e.g. [`Detector`] is
-/// implemented for `&T`, so a meta-detector can lend its members);
-/// owning engines simply use `EnsembleEngine<'static>`.
-pub struct EnsembleEngine<'a> {
-    detectors: Vec<Box<dyn Detector + 'a>>,
+pub struct EnsembleEngine {
+    detectors: Vec<Box<dyn Detector>>,
     merge: MergePolicy,
     threads: usize,
-    limit: usize,
 }
 
-impl<'a> EnsembleEngine<'a> {
-    /// An engine over `detectors` with union merging, all cores, and the
-    /// paper-parity per-column cap of 16 predictions.
-    pub fn new(detectors: Vec<Box<dyn Detector + 'a>>) -> Self {
+impl EnsembleEngine {
+    /// An engine over `detectors` with union merging and all cores.
+    pub fn new(detectors: Vec<Box<dyn Detector>>) -> Self {
         EnsembleEngine {
             detectors,
             merge: MergePolicy::Union,
             threads: 0,
-            limit: 16,
         }
     }
 
@@ -198,12 +193,6 @@ impl<'a> EnsembleEngine<'a> {
     /// only, never the merged output.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the per-column cap on merged predictions.
-    pub fn with_limit(mut self, limit: usize) -> Self {
-        self.limit = limit;
         self
     }
 
@@ -279,20 +268,42 @@ impl<'a> EnsembleEngine<'a> {
                 .iter()
                 .map(|cols| cols.get(col).map(|v| v.as_slice()).unwrap_or(&[]))
                 .collect();
-            merged.push(merge_column(&ranked, self.merge, self.limit));
+            merged.push(merge_column(&ranked, self.merge, LIMIT));
         }
         let merge_nanos = merge_start.elapsed().as_nanos() as u64;
 
-        let stats = ScanStats {
-            detectors: lanes,
-            ..ScanStats::default()
-        };
         Ok(EnsembleReport {
             predictions: merged,
-            stats,
+            lanes,
             merge_nanos,
             elapsed_nanos: run_start.elapsed().as_nanos() as u64,
         })
+    }
+}
+
+/// An engine is a detector whose ranking is its merged ranking; under
+/// [`MergePolicy::Union`] it is the paper's Union.
+impl Detector for EnsembleEngine {
+    fn name(&self) -> &'static str {
+        match self.merge {
+            MergePolicy::Union => "Union",
+            MergePolicy::Vote(_) => "Vote",
+        }
+    }
+
+    fn detect(&self, column: &Column) -> Vec<Prediction> {
+        let mut batch = self.detect_batch(std::slice::from_ref(column));
+        batch.pop().unwrap_or_default()
+    }
+
+    fn detect_batch(&self, columns: &[Column]) -> Vec<Vec<Prediction>> {
+        match self.run(columns) {
+            Ok(report) => report.predictions,
+            // Only an empty member set or a panicking member gets here;
+            // a detector degrades to "no predictions" rather than
+            // panicking.
+            Err(_) => columns.iter().map(|_| Vec::new()).collect(),
+        }
     }
 }
 
@@ -300,8 +311,8 @@ impl<'a> EnsembleEngine<'a> {
 ///
 /// Every policy rank-normalizes first: within one detector, the
 /// prediction at `rank` out of `n` scores `(n - rank) / n` ∈ (0, 1] —
-/// exactly the historical `UnionDetector` pooling, which the `Union`
-/// policy reproduces byte-for-byte. Pooling is max-based and detectors
+/// exactly the historical Union rank pooling, which the `Union` policy
+/// reproduces byte-for-byte (`adt-baselines`' union differential test). Pooling is max-based and detectors
 /// are folded in configured order, but max and vote-counting are
 /// order-insensitive, so the result is independent of scheduling.
 fn merge_column(ranked: &[&[Prediction]], policy: MergePolicy, limit: usize) -> Vec<Prediction> {
@@ -398,7 +409,7 @@ mod tests {
             .collect()
     }
 
-    fn engine() -> EnsembleEngine<'static> {
+    fn engine() -> EnsembleEngine {
         EnsembleEngine::new(vec![
             Box::new(ShortValues),
             Box::new(Fixed {
@@ -461,31 +472,38 @@ mod tests {
 
     #[test]
     fn ensemble_requests_are_validated_in_one_place() {
-        let (specs, merge) =
-            parse_ensemble(["autodetect", "fregex", "cdm"], Some("vote:2")).unwrap();
-        let names: Vec<&str> = specs.iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["autodetect", "fregex", "cdm"]);
-        assert_eq!(merge, MergePolicy::Vote(2));
-        // No policy means union; a lone Auto-Detect is a valid set.
-        let (specs, merge) = parse_ensemble(["autodetect"], None).unwrap();
-        assert_eq!(specs[0].name(), "autodetect");
-        assert_eq!(merge, MergePolicy::Union);
+        assert_eq!(
+            MergePolicy::for_ensemble(Some("vote:2"), 3).unwrap(),
+            MergePolicy::Vote(2)
+        );
+        // No policy means union; a lone member is a valid ensemble.
+        assert_eq!(
+            MergePolicy::for_ensemble(None, 1).unwrap(),
+            MergePolicy::Union
+        );
+        assert_eq!(
+            MergePolicy::for_ensemble(Some("vote:2"), 2).unwrap(),
+            MergePolicy::Vote(2)
+        );
 
-        let config_error = |detectors: &[&str], merge: Option<&str>| -> String {
-            match parse_ensemble(detectors, merge) {
+        let config_error = |merge: Option<&str>, members: usize| -> String {
+            match MergePolicy::for_ensemble(merge, members) {
                 Err(AdtError::Config(m)) => m,
-                other => panic!("{detectors:?} {merge:?} should be a Config error, got {other:?}"),
+                other => panic!("{merge:?} over {members} should be a Config error, got {other:?}"),
             }
         };
-        assert!(config_error(&["autodetect", "nonesuch"], None).contains("nonesuch"));
-        assert!(config_error(&["fregex", "f-regex"], None).contains("duplicate"));
-        assert!(config_error(&[], None).contains("at least one detector"));
-        assert!(config_error(&["autodetect", "fregex"], Some("vote:0")).contains("vote:k"));
-        assert!(config_error(&["autodetect", "fregex"], Some("vote:3")).contains("vote:3"));
-        let m = config_error(&["autodetect", "fregex"], Some("calibrated"));
-        assert!(
-            m.contains("calibrated") && m.contains("union") && m.contains("vote:k"),
-            "{m}"
+        assert_eq!(
+            config_error(None, 0),
+            "an ensemble needs at least one detector"
+        );
+        assert!(config_error(Some("vote:0"), 2).contains("vote:k"));
+        assert_eq!(
+            config_error(Some("vote:3"), 2),
+            "merge vote:3 needs at least 3 detectors, got 2"
+        );
+        assert_eq!(
+            config_error(Some("calibrated"), 2),
+            "unknown merge policy 'calibrated' (known: union, vote:k)"
         );
     }
 
@@ -506,7 +524,7 @@ mod tests {
         let columns = cols(67); // 9 chunks at width 8
         let report = engine().run(&columns).unwrap();
         assert_eq!(report.predictions.len(), columns.len());
-        let lanes = &report.stats.detectors;
+        let lanes = &report.lanes;
         assert_eq!(lanes.len(), 2);
         assert_eq!(lanes[0].name, "Short");
         assert_eq!(lanes[1].name, "A");
@@ -514,6 +532,19 @@ mod tests {
             assert_eq!(lane.columns, columns.len() as u64);
             assert!(lane.predictions > 0, "{} emitted nothing", lane.name);
         }
+    }
+
+    #[test]
+    fn engine_detects_as_its_merged_ranking() {
+        let columns = cols(10);
+        let merged = engine().run(&columns).unwrap().predictions;
+        let det = engine();
+        assert_eq!(det.name(), "Union");
+        assert_eq!(det.detect_batch(&columns), merged);
+        assert_eq!(det.detect(&columns[3]), merged[3]);
+        assert_eq!(det.with_merge(MergePolicy::Vote(2)).name(), "Vote");
+        // A member panic or an empty member set degrades to silence.
+        assert_eq!(EnsembleEngine::new(Vec::new()).detect(&columns[0]), []);
     }
 
     #[test]

@@ -22,15 +22,15 @@
 //!    worker threads with per-worker pattern caches, streams large CSV
 //!    inputs in bounded memory, and reports per-stage counters/timings;
 //! 8. [`api`] — the shared [`Detector`] trait every method (Auto-Detect
-//!    and the baselines) implements — single-column and batch detection,
-//!    [`DetectorInfo`] descriptors, and the name-keyed
-//!    [`DetectorRegistry`] — so evaluation drivers, the ensemble, and
-//!    services consume one trait object uniformly;
-//! 9. [`ensemble`] — the [`EnsembleEngine`]: runs a configurable
-//!    detector set per scan with per-detector instrumentation and merges
-//!    rankings under a [`MergePolicy`] (union / vote(k)),
-//!    deterministically at any thread count; [`parse_ensemble`] is the
-//!    one validation of a requested detector set and policy;
+//!    and the baselines) implements, single-column and batch, so
+//!    evaluation drivers, the ensemble, and services consume one trait
+//!    object uniformly; the roster that names and builds every method
+//!    is `adt_baselines::DetectorId`;
+//! 9. [`ensemble`] — the [`EnsembleEngine`]: runs a detector set per
+//!    scan with per-detector instrumentation and merges rankings under a
+//!    [`MergePolicy`] (union / vote(k)), deterministically at any thread
+//!    count; it is itself a [`Detector`] (the paper's Union baseline is
+//!    one);
 //! 10. [`online`] — the [`OnlineLearner`]: keeps a seeded, bounded
 //!     reservoir of the columns it absorbs and retrains with [`train`]
 //!     on them, byte-identical to an offline train on the same columns;
@@ -54,22 +54,21 @@ pub mod training;
 
 pub use aggregate::Aggregator;
 pub use api::{
-    finalize_predictions, findings_to_predictions, validate_detector_name, value_counts,
-    AggregatedAutoDetect, CostClass, Detector, DetectorInfo, DetectorKind, DetectorRegistry,
-    DetectorSpec, Prediction, KNOWN_DETECTORS,
+    finalize_predictions, findings_to_predictions, value_counts, AggregatedAutoDetect, Detector,
+    Prediction,
 };
 pub use calibrate::{calibrate_language, Calibration};
 pub use config::{AutoDetectConfig, AutoDetectConfigBuilder, LanguageSpace};
 pub use detector::{
-    AutoDetect, ColumnFinding, DetectorLane, KernelChoices, PairVerdict, PatternCache, ScanStats,
-    TableFinding,
+    rank_table_findings, AutoDetect, ColumnFinding, KernelChoices, PairVerdict, PatternCache,
+    ScanStats, TableFinding,
 };
 pub use dt::{dt_optimize, DtProblem, DtSolution};
 pub use engine::{
     parallel_map, parallel_map_with, resolve_threads, CachePool, ColumnSummary, ScanEngine,
     ScanReport,
 };
-pub use ensemble::{parse_ensemble, EnsembleEngine, EnsembleReport, MergePolicy};
+pub use ensemble::{DetectorLane, EnsembleEngine, EnsembleReport, MergePolicy};
 pub use error::AdtError;
 pub use model::{
     calibrate_candidates, calibrate_candidates_with_report, load_model, save_model,

@@ -21,5 +21,5 @@ pub mod testcases;
 
 pub use matrix::{build_scenarios, run_matrix, MatrixCell, MatrixReport, Scenario};
 pub use metrics::{pooled_predictions, precision_at_k, PooledPrediction};
-pub use runner::{run_method, Method};
+pub use runner::run_method;
 pub use testcases::{auto_eval_cases, cases_from_labeled, TestCase};

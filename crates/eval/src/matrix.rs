@@ -9,9 +9,9 @@
 //! per-detector priors are reported only; no merge policy reads them.
 
 use crate::metrics::{pooled_predictions, precision_at_k};
-use crate::runner::{run_method_threads, Method};
+use crate::runner::run_method_threads;
 use crate::testcases::TestCase;
-use adt_core::{AdtError, DetectorRegistry, DetectorSpec};
+use adt_core::api::Detector;
 use adt_corpus::{corrupt_value, Column, CorpusGenerator, CorpusProfile, ErrorKind};
 use adt_rng::rngs::StdRng;
 use adt_rng::{Rng, SeedableRng};
@@ -154,27 +154,24 @@ impl MatrixReport {
     }
 }
 
-/// Runs every `spec` over every scenario. Detection within a scenario
-/// fans over `threads` workers (0 = all cores) via the core engine's
-/// `parallel_map`, so cells are identical at any thread count.
+/// Runs every detector, paired with its configuration name, over every
+/// scenario. Detection within a scenario fans over `threads` workers
+/// (0 = all cores) via the core engine's `parallel_map`, so cells are
+/// identical at any thread count.
 pub fn run_matrix(
-    registry: &DetectorRegistry,
-    specs: &[DetectorSpec],
+    detectors: &[(&str, &dyn Detector)],
     scenarios: &[Scenario],
     threads: usize,
-) -> Result<MatrixReport, AdtError> {
-    let mut cells = Vec::with_capacity(specs.len() * scenarios.len());
-    let mut priors = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let detector = registry.build(spec)?;
-        let display = detector.name().to_string();
-        let method = Method::from_detector(detector);
+) -> MatrixReport {
+    let mut cells = Vec::with_capacity(detectors.len() * scenarios.len());
+    let mut priors = Vec::with_capacity(detectors.len());
+    for &(name, detector) in detectors {
         let mut hits_total = 0usize;
         let mut k_total = 0usize;
         for scenario in scenarios {
             // adt-allow(determinism): wall-clock feeds MatrixCell timing fields only, never detection results
             let t0 = Instant::now();
-            let predictions = run_method_threads(&method, &scenario.cases, threads);
+            let predictions = run_method_threads(detector, &scenario.cases, threads);
             let wall_nanos = t0.elapsed().as_nanos() as u64;
             let pooled = pooled_predictions(&scenario.cases, &predictions, 1);
             let k = scenario.n_dirty();
@@ -182,8 +179,8 @@ pub fn run_matrix(
             hits_total += hits;
             k_total += k;
             cells.push(MatrixCell {
-                detector: spec.name().to_string(),
-                display: display.clone(),
+                detector: name.to_string(),
+                display: detector.name().to_string(),
                 class: scenario.kind.name(),
                 k,
                 precision: precision_at_k(&pooled, k),
@@ -197,22 +194,15 @@ pub fn run_matrix(
         } else {
             (hits_total as f64 / k_total as f64).max(0.05)
         };
-        priors.push((spec.name().to_string(), prior));
+        priors.push((name.to_string(), prior));
     }
-    Ok(MatrixReport { cells, priors })
+    MatrixReport { cells, priors }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adt_baselines::register_baselines;
-
-    fn specs(names: &[&str]) -> Vec<DetectorSpec> {
-        names
-            .iter()
-            .map(|n| DetectorSpec::parse(n).unwrap())
-            .collect()
-    }
+    use adt_baselines::{DboostDetector, FRegexDetector};
 
     #[test]
     fn class_cases_label_the_target_kind() {
@@ -251,10 +241,11 @@ mod tests {
         let mut profile = CorpusProfile::web(1);
         profile.dirty_rate = 0.0;
         let scenarios = build_scenarios(&profile, 3, 3, 11);
-        let mut registry = DetectorRegistry::new();
-        register_baselines(&mut registry);
-        let specs = specs(&["fregex", "dboost"]);
-        let report = run_matrix(&registry, &specs, &scenarios, 1).unwrap();
+        let detectors: [(&str, &dyn Detector); 2] = [
+            ("fregex", &FRegexDetector::default()),
+            ("dboost", &DboostDetector::default()),
+        ];
+        let report = run_matrix(&detectors, &scenarios, 1);
         assert_eq!(report.cells.len(), 2 * ErrorKind::ALL.len());
         assert_eq!(report.row("fregex").len(), ErrorKind::ALL.len());
         for cell in &report.cells {
@@ -263,7 +254,7 @@ mod tests {
         }
         assert_eq!(report.priors.len(), 2);
         for (name, prior) in &report.priors {
-            assert!(specs.iter().any(|s| s.name() == name));
+            assert!(detectors.iter().any(|(d, _)| d == name));
             assert!(*prior >= 0.05 && *prior <= 1.0, "{name}: {prior}");
         }
     }
@@ -273,23 +264,13 @@ mod tests {
         let mut profile = CorpusProfile::web(1);
         profile.dirty_rate = 0.0;
         let scenarios = build_scenarios(&profile, 3, 3, 13);
-        let mut registry = DetectorRegistry::new();
-        register_baselines(&mut registry);
-        let specs = specs(&["fregex"]);
-        let serial = run_matrix(&registry, &specs, &scenarios, 1).unwrap();
-        let parallel = run_matrix(&registry, &specs, &scenarios, 4).unwrap();
+        let detectors: [(&str, &dyn Detector); 1] = [("fregex", &FRegexDetector::default())];
+        let serial = run_matrix(&detectors, &scenarios, 1);
+        let parallel = run_matrix(&detectors, &scenarios, 4);
         for (a, b) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(a.precision.to_bits(), b.precision.to_bits());
             assert_eq!(a.hits, b.hits);
             assert_eq!(a.predictions, b.predictions);
         }
-    }
-
-    #[test]
-    fn unknown_detector_is_a_config_error() {
-        let registry = DetectorRegistry::new();
-        let specs = specs(&["fregex"]);
-        let err = run_matrix(&registry, &specs, &[], 1).unwrap_err();
-        assert!(matches!(err, AdtError::Config(_)), "{err}");
     }
 }

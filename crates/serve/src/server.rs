@@ -27,9 +27,10 @@ use crate::learn::{self, LearnConfig};
 use crate::protocol;
 use crate::registry::{ModelHandle, ModelRegistry};
 use crate::stats::ServerStats;
+use adt_baselines::parse_ensemble;
 use adt_core::{
-    parse_ensemble, AdtError, CachePool, ColumnFinding, ColumnSummary, EnsembleEngine, ScanEngine,
-    TableFinding,
+    rank_table_findings, AdtError, CachePool, ColumnFinding, ColumnSummary, EnsembleEngine,
+    ScanEngine, TableFinding,
 };
 use adt_corpus::Column;
 use std::io::{BufReader, Read};
@@ -740,15 +741,11 @@ fn handle_ensemble_scan(
 ) -> (u16, Json) {
     // The Config error text names the offender and the valid choices —
     // exactly what a 400 should carry.
-    let (specs, merge) = match parse_ensemble(detectors, merge) {
+    let (ids, merge) = match parse_ensemble(detectors, merge) {
         Ok(parsed) => parsed,
         Err(e) => return (400, protocol::error_to_json(&e.to_string())),
     };
-    let registry = adt_baselines::standard_registry(Arc::clone(&handle.model));
-    let members = match registry.build_set(&specs) {
-        Ok(m) => m,
-        Err(e) => return (400, protocol::error_to_json(&e.to_string())),
-    };
+    let members = ids.iter().map(|id| id.build(&handle.model)).collect();
     let merge_label = merge.label();
     let engine = EnsembleEngine::new(members)
         .with_merge(merge)
@@ -787,20 +784,13 @@ fn handle_ensemble_scan(
             });
         }
     }
-    // Same global order the single-model engine reports: confidence
-    // descending, then column, then suspect.
-    findings.sort_by(|a, b| {
-        b.finding
-            .confidence
-            .total_cmp(&a.finding.confidence)
-            .then_with(|| a.column_index.cmp(&b.column_index))
-            .then_with(|| a.finding.suspect.cmp(&b.finding.suspect))
-    });
+    // Same global order the single-model engine reports.
+    rank_table_findings(&mut findings);
 
     ctx.stats
         .record_scan(&handle.name, findings.len(), &summaries);
     ctx.stats.ensemble_scans.fetch_add(1, Ordering::Relaxed);
-    ctx.stats.record_detector_lanes(&report.stats.detectors);
+    ctx.stats.record_detector_lanes(&report.lanes);
     (
         200,
         protocol::scan_response_to_json_full(
@@ -808,7 +798,7 @@ fn handle_ensemble_scan(
             handle.generation,
             &findings,
             &summaries,
-            Some((&merge_label, &report.stats.detectors)),
+            Some((&merge_label, &report.lanes)),
         ),
     )
 }

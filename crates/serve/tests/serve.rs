@@ -231,14 +231,18 @@ fn ensemble_scan_reports_lanes_and_rejects_unknown_detectors() {
     let columns = dirty_columns();
     let names = |list: &[&str]| -> Vec<String> { list.iter().map(|s| s.to_string()).collect() };
 
-    // Unknown detector → 400 naming the offender.
+    // Unknown detector → 400 naming the offender and every known name.
     let err = client
-        .scan_ensemble(None, &columns, &names(&["autodetect", "nonesuch"]), None)
+        .scan_ensemble(None, &columns, &names(&["autodetect", "x"]), None)
         .unwrap_err();
     match err {
         ClientError::Status { status, message } => {
             assert_eq!(status, 400);
-            assert!(message.contains("nonesuch"), "{message}");
+            assert_eq!(
+                message,
+                "invalid configuration: unknown detector 'x' (known: autodetect, fregex, \
+                 pwheel, dboost, linear, linearp, cdm, lsa, svdd, dbod, lof, union)"
+            );
         }
         other => panic!("expected status error, got {other}"),
     }

@@ -394,10 +394,11 @@ fn cmd_scan_ensemble(
     detectors: &str,
     merge: Option<&str>,
 ) -> Result<(), String> {
-    use auto_detect::core::{parse_ensemble, EnsembleEngine};
-    let (specs, merge) = parse_ensemble(detectors.split(','), merge).map_err(|e| e.to_string())?;
-    let registry = auto_detect::baselines::standard_registry(std::sync::Arc::new(model));
-    let members = registry.build_set(&specs).map_err(|e| e.to_string())?;
+    use auto_detect::baselines::parse_ensemble;
+    use auto_detect::core::EnsembleEngine;
+    let (ids, merge) = parse_ensemble(detectors.split(','), merge).map_err(|e| e.to_string())?;
+    let model = std::sync::Arc::new(model);
+    let members = ids.iter().map(|id| id.build(&model)).collect();
     let columns = load_csv(file, delim, has_header).map_err(|e| format!("loading {file}: {e}"))?;
     let label = merge.label();
     let report = EnsembleEngine::new(members)
@@ -427,11 +428,11 @@ fn cmd_scan_ensemble(
     );
     println!(
         "ensemble: {} detector(s), merge {label}, {:.1} ms scan + {:.1} ms merge",
-        report.stats.detectors.len(),
+        report.lanes.len(),
         (report.elapsed_nanos.saturating_sub(report.merge_nanos)) as f64 / 1e6,
         report.merge_nanos as f64 / 1e6
     );
-    for lane in &report.stats.detectors {
+    for lane in &report.lanes {
         println!(
             "    {:<12} {:>9.1} ms  {:>6} prediction(s)",
             lane.name,

@@ -7,7 +7,7 @@ use auto_detect::core::{train, AutoDetectConfig};
 use auto_detect::corpus::{generate_corpus, Column, CorpusProfile, SourceTag};
 use auto_detect::eval::metrics::{pooled_predictions, precision_at_k};
 use auto_detect::eval::testcases::crude_stats;
-use auto_detect::eval::{auto_eval_cases, run_method, Method};
+use auto_detect::eval::{auto_eval_cases, run_method};
 use auto_detect::stats::{NpmiParams, StatsConfig};
 
 /// Potter's Wheel incorrectly flags the paper's Col-1 ("1,000" among
@@ -87,16 +87,14 @@ fn autodetect_beats_local_baselines_on_auto_eval() {
     let crude = crude_stats(&source, &StatsConfig::default());
     let cases = auto_eval_cases(&source, &crude, NpmiParams::default(), 200, 1_000, 77);
 
-    let score = |m: &Method<'_>| {
+    let score = |m: &dyn Detector| {
         let preds = run_method(m, &cases);
         let pooled = pooled_predictions(&cases, &preds, 1);
         precision_at_k(&pooled, 100)
     };
-    let ad = score(&Method::auto_detect(&model));
-    let pw = score(&Method::baseline(Box::new(PotterWheelDetector::default())));
-    let linear = score(&Method::baseline(Box::new(
-        auto_detect::baselines::LinearDetector::default(),
-    )));
+    let ad = score(&model);
+    let pw = score(&PotterWheelDetector::default());
+    let linear = score(&auto_detect::baselines::LinearDetector::default());
     assert!(ad >= pw, "Auto-Detect p@100 {ad} should be >= PWheel {pw}");
     assert!(
         ad > linear,

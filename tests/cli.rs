@@ -333,7 +333,11 @@ fn ensemble_scan_is_thread_invariant_and_validates_flags() {
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
     };
     bad(&["--merge", "vote:2"], "--detectors");
-    bad(&["--detectors", "autodetect,nonesuch"], "nonesuch");
+    bad(
+        &["--detectors", "autodetect,x"],
+        "error: invalid configuration: unknown detector 'x' (known: autodetect, fregex, \
+         pwheel, dboost, linear, linearp, cdm, lsa, svdd, dbod, lof, union)\n",
+    );
     bad(
         &["--detectors", "autodetect", "--merge", "vote:9"],
         "vote:9",

@@ -5,7 +5,7 @@ use auto_detect::core::{train, AutoDetectConfig};
 use auto_detect::corpus::{generate_corpus, Column, CorpusProfile, SourceTag};
 use auto_detect::eval::metrics::{pooled_predictions, precision_at_k};
 use auto_detect::eval::testcases::crude_stats;
-use auto_detect::eval::{auto_eval_cases, run_method, Method};
+use auto_detect::eval::{auto_eval_cases, run_method};
 use auto_detect::stats::{NpmiParams, StatsConfig};
 
 fn trained_model() -> (auto_detect::core::AutoDetect, auto_detect::corpus::Corpus) {
@@ -32,8 +32,7 @@ fn trained_model_meets_precision_on_auto_eval() {
     let cases = auto_eval_cases(&source, &crude, NpmiParams::default(), 150, 750, 42);
     assert!(cases.iter().filter(|c| c.is_dirty()).count() >= 100);
 
-    let m = Method::auto_detect(&model);
-    let preds = run_method(&m, &cases);
+    let preds = run_method(&model, &cases);
     let pooled = pooled_predictions(&cases, &preds, 1);
     let p50 = precision_at_k(&pooled, 50);
     // The paper holds >0.9 at low k even under 1:10 mixes; at this small
