@@ -100,6 +100,7 @@ pub fn classify(rel: &str) -> FileClass {
             || rel.starts_with("perfbench/"),
         panic_scope: rel == "crates/core/src/detector.rs"
             || rel == "crates/core/src/engine.rs"
+            || rel == "crates/core/src/values.rs"
             || rel == "crates/core/src/ensemble.rs"
             || rel == "crates/core/src/online.rs"
             || rel == "crates/stats/src/build.rs"
@@ -112,6 +113,7 @@ pub fn classify(rel: &str) -> FileClass {
         arith_scope: rel == "crates/patterns/src/classify.rs"
             || rel == "crates/patterns/src/pattern.rs"
             || rel == "crates/core/src/detector.rs"
+            || rel == "crates/core/src/values.rs"
             || rel == "crates/stats/src/pipeline.rs",
         errorpath_scope: serve_handler || rel == "crates/core/src/online.rs",
     }

@@ -36,6 +36,7 @@
 
 use crate::aggregate::Aggregator;
 use crate::calibrate::Calibration;
+use crate::values::ValueTable;
 use adt_corpus::Column;
 use adt_patterns::{Language, MultiGeneralizer, MultiHasher, PatternHash};
 use adt_stats::memo::DEFAULT_MEMO_CAPACITY;
@@ -92,9 +93,16 @@ pub struct ColumnFinding {
 }
 
 /// Default cap on memoized values per [`PatternCache`]. A cache entry is
-/// the value string plus one hash per language; at the cap the map stays
-/// in the tens of megabytes even for pathological value lengths.
+/// the value's text plus one hash per language; the text is bounded
+/// separately by [`VALUE_BYTES_CAPACITY`].
 pub const DEFAULT_VALUE_CAPACITY: usize = 65_536;
+
+/// Cap on the value text one [`PatternCache`] holds: 16 MiB. A miss that
+/// would take the cache past it flushes the cache first, and a value
+/// longer than it is hashed but never cached. With [`DEFAULT_VALUE_CAPACITY`]
+/// values of one hash per language, a cache stays in the tens of
+/// megabytes whatever its traffic's value lengths.
+pub const VALUE_BYTES_CAPACITY: usize = 16_777_216;
 
 /// Per-worker scan memory: value → pattern hashes, plus one bounded
 /// NPMI pair-score memo per selected language.
@@ -109,7 +117,13 @@ pub const DEFAULT_VALUE_CAPACITY: usize = 65_536;
 /// The per-language memos let the group kernel skip recomputing NPMI for
 /// pattern pairs it has already scored in earlier columns.
 ///
-/// Both layers are bounded: at capacity they flush wholesale
+/// Values live in one arena-backed value table (one text buffer, dense
+/// entry ids) and their hashes in flat rows of one hash per language
+/// indexed by entry id, so a miss allocates nothing per value and a flush clears
+/// five buffers, keeping their capacity.
+///
+/// Both layers are bounded: at capacity (a value count, and
+/// [`VALUE_BYTES_CAPACITY`] of value text) they flush wholesale
 /// (deterministic generational eviction), so unbounded distinct traffic
 /// — a long-lived serve worker fed adversarial columns — costs
 /// recomputation, never memory. Cached hashes and memoized scores are
@@ -119,7 +133,11 @@ pub const DEFAULT_VALUE_CAPACITY: usize = 65_536;
 /// different model.
 #[derive(Debug)]
 pub struct PatternCache {
-    map: FxHashMap<String, Vec<PatternHash>>,
+    values: ValueTable,
+    /// Entry `id`'s hash under language `k` at `hashes[id * width + k]`.
+    hashes: Vec<PatternHash>,
+    /// Languages of the bound model: the width of a `hashes` row.
+    width: usize,
     hasher: MultiHasher,
     memos: Vec<NpmiMemo>,
     fingerprint: Option<u64>,
@@ -145,7 +163,9 @@ impl PatternCache {
     /// and `memo_capacity` pair scores per language (each min 1).
     pub fn with_capacity(value_capacity: usize, memo_capacity: usize) -> Self {
         PatternCache {
-            map: FxHashMap::default(),
+            values: ValueTable::default(),
+            hashes: Vec::new(),
+            width: 0,
             hasher: MultiGeneralizer::new(&[]).hasher(),
             memos: Vec::new(),
             fingerprint: None,
@@ -158,12 +178,17 @@ impl PatternCache {
 
     /// Number of memoized values.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.values.len()
     }
 
     /// True when nothing has been memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.values.is_empty()
+    }
+
+    /// Bytes of memoized value text, at most [`VALUE_BYTES_CAPACITY`].
+    pub fn bytes(&self) -> usize {
+        self.values.text_bytes()
     }
 
     /// The cap on memoized values.
@@ -210,10 +235,11 @@ impl PatternCache {
         if self.fingerprint != Some(fp) {
             if self.fingerprint.is_some() {
                 self.rebinds += 1;
-                self.map.clear();
+                self.clear_values();
             }
             let languages: Vec<Language> =
                 model.languages.iter().map(|l| l.stats.language).collect();
+            self.width = languages.len();
             self.hasher = MultiGeneralizer::new(&languages).hasher();
             self.memos = (0..model.languages.len())
                 .map(|_| NpmiMemo::with_capacity(self.memo_capacity))
@@ -226,24 +252,44 @@ impl PatternCache {
         &mut self.memos[k]
     }
 
+    /// Drops every memoized value and its hashes.
+    fn clear_values(&mut self) {
+        self.values.clear();
+        self.hashes.clear();
+    }
+
+    /// The hashes memoized for entry `id`, one per language.
+    fn row(&self, id: usize) -> Option<&[PatternHash]> {
+        let start = id.checked_mul(self.width)?;
+        self.hashes.get(start..start.checked_add(self.width)?)
+    }
+
     /// Appends `value`'s hash under every language of the bound model to
     /// the per-language columns of `out`, generalizing on first sight.
     fn append_hashes(&mut self, value: &str, out: &mut [Vec<PatternHash>]) {
-        if let Some(hs) = self.map.get(value) {
+        let key = self.values.key_hash(value);
+        if let Some(hs) = self.values.find(key, value).and_then(|id| self.row(id)) {
             for (col, &h) in out.iter_mut().zip(hs) {
                 col.push(h);
             }
             return;
         }
+        let cacheable = value.len() <= VALUE_BYTES_CAPACITY;
+        if cacheable
+            && (self.values.len() >= self.value_capacity
+                || self.values.text_bytes().saturating_add(value.len()) > VALUE_BYTES_CAPACITY)
+        {
+            self.clear_values();
+            self.value_flushes += 1;
+        }
         let hs = self.hasher.hash_value(value);
         for (col, &h) in out.iter_mut().zip(hs) {
             col.push(h);
         }
-        if self.map.len() >= self.value_capacity {
-            self.map.clear();
-            self.value_flushes += 1;
+        if cacheable {
+            self.values.push(key, value);
+            self.hashes.extend_from_slice(hs);
         }
-        self.map.insert(value.to_string(), hs.to_vec());
     }
 }
 
@@ -475,16 +521,19 @@ impl AutoDetect {
     }
 
     /// [`AutoDetect::distinct_capped`] for a column already tallied:
-    /// `counts` holds each distinct value once, in any order. The same
+    /// `counts` yields each distinct value once, in any order. The same
     /// cap and tie-break (count descending, then value) apply, so the
     /// streamed and reference paths cap exactly as a materialized
     /// column does.
-    fn counts_capped<'a>(&self, counts: &'a [(String, usize)]) -> (Vec<(&'a str, usize)>, usize) {
-        let mut distinct: Vec<(&str, usize)> =
-            counts.iter().map(|(v, c)| (v.as_str(), *c)).collect();
+    fn counts_capped<'a>(
+        &self,
+        counts: impl Iterator<Item = (&'a str, usize)>,
+    ) -> (Vec<(&'a str, usize)>, usize) {
+        let mut distinct: Vec<(&str, usize)> = counts.collect();
+        let total = distinct.len();
         distinct.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         distinct.truncate(self.max_distinct_values);
-        (distinct, counts.len())
+        (distinct, total)
     }
 
     /// Detects incompatible values in a column with the default
@@ -549,18 +598,24 @@ impl AutoDetect {
         cache: &mut PatternCache,
     ) -> (Vec<ColumnFinding>, ScanStats) {
         cache.bind(self);
-        self.scan_value_counts_bound(counts, aggregator, cache)
+        let (distinct, total_distinct) =
+            self.counts_capped(counts.iter().map(|(v, c)| (v.as_str(), *c)));
+        self.scan_pairs(&distinct, total_distinct, aggregator, cache)
     }
 
-    /// [`AutoDetect::scan_value_counts`] through a cache already bound to
-    /// this model (see [`AutoDetect::scan_column_bound`]).
-    pub(crate) fn scan_value_counts_bound(
+    /// [`AutoDetect::scan_value_counts`] for a column tallied in a
+    /// [`ValueTable`] (`counts[id]` is entry `id`'s multiplicity), through
+    /// a cache already bound to this model (see
+    /// [`AutoDetect::scan_column_bound`]).
+    pub(crate) fn scan_value_table_bound(
         &self,
-        counts: &[(String, usize)],
+        values: &ValueTable,
+        counts: &[usize],
         aggregator: Aggregator,
         cache: &mut PatternCache,
     ) -> (Vec<ColumnFinding>, ScanStats) {
-        let (distinct, total_distinct) = self.counts_capped(counts);
+        let (distinct, total_distinct) =
+            self.counts_capped(values.iter().zip(counts.iter().copied()));
         self.scan_pairs(&distinct, total_distinct, aggregator, cache)
     }
 
@@ -946,7 +1001,8 @@ impl AutoDetect {
         aggregator: Aggregator,
         cache: &mut PatternCache,
     ) -> (Vec<ColumnFinding>, ScanStats) {
-        let (distinct, total_distinct) = self.counts_capped(counts);
+        let (distinct, total_distinct) =
+            self.counts_capped(counts.iter().map(|(v, c)| (v.as_str(), *c)));
         self.scan_pairs_reference(&distinct, total_distinct, aggregator, cache)
     }
 
@@ -1588,6 +1644,107 @@ mod tests {
         assert_ne!(first.fingerprint(), second.fingerprint());
         assert_cache_hashes_match_pattern_of(&second, &mut cache, &values);
         assert_eq!(cache.rebinds(), 1);
+    }
+
+    /// Runs `values` through `cache` and, in lockstep, through the
+    /// `String`-keyed map the arena-backed cache replaced, with the same
+    /// count and byte flush rules. Every value's hashes must equal
+    /// `pattern_of`, and the two must hold the same number of values and
+    /// bytes and have flushed as often, after every step.
+    fn assert_cache_matches_string_map(
+        model: &AutoDetect,
+        mut cache: PatternCache,
+        values: &[String],
+    ) -> u64 {
+        cache.bind(model);
+        let mut oracle: FxHashMap<String, Vec<PatternHash>> = FxHashMap::default();
+        let (mut bytes, mut flushes) = (0, 0);
+        for v in values {
+            let mut out: Vec<Vec<PatternHash>> = vec![Vec::new(); model.languages.len()];
+            cache.append_hashes(v, &mut out);
+            let want: Vec<PatternHash> = model
+                .languages
+                .iter()
+                .map(|l| l.stats.pattern_of(v))
+                .collect();
+            let got: Vec<PatternHash> = out.iter().flat_map(|c| c.iter().copied()).collect();
+            assert_eq!(got, want, "{:?}", v.chars().take(16).collect::<String>());
+            if !oracle.contains_key(v) && v.len() <= VALUE_BYTES_CAPACITY {
+                if oracle.len() >= cache.value_capacity() || bytes + v.len() > VALUE_BYTES_CAPACITY
+                {
+                    oracle.clear();
+                    bytes = 0;
+                    flushes += 1;
+                }
+                oracle.insert(v.clone(), want);
+                bytes += v.len();
+            }
+            assert_eq!(cache.len(), oracle.len());
+            assert_eq!(cache.bytes(), bytes);
+            assert_eq!(cache.value_flushes(), flushes);
+        }
+        flushes
+    }
+
+    #[test]
+    fn pattern_cache_matches_a_string_map_oracle() {
+        use adt_rng::prelude::*;
+        let mut pool: Vec<String> = adt_patterns::multi::TRICKY_VALUES
+            .iter()
+            .map(|v| v.to_string())
+            .collect();
+        pool.extend(["", "é", "日本語", "😀😀-1", "Ωmega-42", "ü-ü"].map(String::from));
+        pool.push("9".repeat(4096));
+        pool.push("ab".repeat(2048));
+        pool.push("ü".repeat(2048));
+        let mut rng = StdRng::seed_from_u64(0xa7e4a);
+        let values: Vec<String> = (0..600)
+            .map(|_| pool[rng.random_range(0..pool.len())].clone())
+            .collect();
+        let mut languages = adt_patterns::enumerate_coarse_languages();
+        languages.push(adt_patterns::crude::crude_language());
+        let model = model_over(languages);
+
+        // Across flushes: seven values fit, so the cache turns over often.
+        let flushes =
+            assert_cache_matches_string_map(&model, PatternCache::with_capacity(7, 16), &values);
+        assert!(flushes > 10, "{flushes} flushes");
+        // Every key hashing alike: each lookup walks the collision chain,
+        // over at most seven entries and then over every distinct value.
+        for capacity in [7, DEFAULT_VALUE_CAPACITY] {
+            let mut cache = PatternCache::with_capacity(capacity, 16);
+            cache.values = cache.values.with_constant_key_hash();
+            assert_cache_matches_string_map(&model, cache, &values);
+        }
+    }
+
+    #[test]
+    fn pattern_cache_bytes_stay_under_the_byte_cap_for_megabyte_values() {
+        const MIB: usize = 1 << 20;
+        let model = tiny_model();
+        let mut values: Vec<String> = (0..20)
+            .map(|i| format!("{i:02}{}", "x".repeat(MIB - 2)))
+            .collect();
+        // Longer than the cap: hashed, never cached.
+        values.push("7".repeat(VALUE_BYTES_CAPACITY + 1));
+        let mut cache = PatternCache::new();
+        cache.bind(&model);
+        for v in &values {
+            let mut out: Vec<Vec<PatternHash>> = vec![Vec::new(); model.languages.len()];
+            cache.append_hashes(v, &mut out);
+            for (lang, hashes) in model.languages.iter().zip(&out) {
+                assert_eq!(hashes, &[lang.stats.pattern_of(v)]);
+            }
+            assert!(
+                cache.bytes() <= VALUE_BYTES_CAPACITY,
+                "{} bytes",
+                cache.bytes()
+            );
+        }
+        // Sixteen 1 MiB values fill the cap; the seventeenth flushed.
+        assert_eq!(cache.value_flushes(), 1);
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.bytes(), 4 * MIB);
     }
 
     /// The hash-map distinct counter the sort-based

@@ -24,9 +24,9 @@ use crate::detector::{
     rank_table_findings, AutoDetect, ColumnFinding, PatternCache, ScanStats, TableFinding,
 };
 use crate::error::AdtError;
+use crate::values::ValueTable;
 use adt_corpus::{Column, Corpus, CsvRecords, Table};
 use adt_stats::pipeline::join_all;
-use adt_stats::FxHashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -174,6 +174,17 @@ impl CachePool {
     pub fn memo_misses(&self) -> u64 {
         self.caches().iter().map(|c| c.memo_misses()).sum()
     }
+
+    /// Generalized values held, summed over checked-in caches.
+    pub fn values(&self) -> usize {
+        self.caches().iter().map(|c| c.len()).sum()
+    }
+
+    /// Bytes of value text held, summed over checked-in caches; at most
+    /// [`crate::detector::VALUE_BYTES_CAPACITY`] per cache.
+    pub fn bytes(&self) -> usize {
+        self.caches().iter().map(|c| c.bytes()).sum()
+    }
 }
 
 /// Worker-thread cache state: pooled when the engine has a [`CachePool`]
@@ -209,6 +220,26 @@ impl Drop for WorkerCache {
     fn drop(&mut self) {
         if let (Some(pool), Some(cache)) = (&self.pool, self.cache.take()) {
             pool.restore(cache);
+        }
+    }
+}
+
+/// One streamed column's tally: its distinct values and, at each entry
+/// id, how often that value occurred.
+#[derive(Debug, Default)]
+struct ColumnCounts {
+    values: ValueTable,
+    counts: Vec<usize>,
+}
+
+impl ColumnCounts {
+    /// Counts one occurrence of `value`.
+    fn add(&mut self, value: &str) {
+        let id = self.values.intern(value);
+        match self.counts.get_mut(id) {
+            Some(n) => *n += 1,
+            // A new entry's id is the next index.
+            None => self.counts.push(1),
         }
     }
 }
@@ -400,33 +431,24 @@ impl ScanEngine {
         }
         // Columns appear lazily as wider data rows arrive — the same
         // width rule as the in-memory loader (max over data rows), where
-        // short rows pad with empty values that detection ignores. Fields
-        // are looked up by `&str`, so a value is copied only on its first
-        // occurrence in its column.
-        let mut counts: Vec<FxHashMap<String, usize>> = Vec::new();
+        // short rows pad with empty values that detection ignores. Each
+        // column tallies into its own value table, so a value's bytes are
+        // appended once, on its first occurrence in its column.
+        let mut inputs: Vec<ColumnCounts> = Vec::new();
         while let Some(record) = records.next_fields(|i, value| {
-            if i >= counts.len() {
-                counts.resize_with(i + 1, FxHashMap::default);
+            if i >= inputs.len() {
+                inputs.resize_with(i + 1, ColumnCounts::default);
             }
             if value.is_empty() {
                 return;
             }
-            if let Some(column) = counts.get_mut(i) {
-                match column.get_mut(value) {
-                    Some(n) => *n += 1,
-                    None => {
-                        column.insert(value.to_owned(), 1);
-                    }
-                }
+            if let Some(column) = inputs.get_mut(i) {
+                column.add(value);
             }
         }) {
             record.map_err(|e| AdtError::Csv(e.to_string()))?;
         }
         let read_wall = read_start.elapsed();
-        let inputs: Vec<Vec<(String, usize)>> = counts
-            .into_iter()
-            .map(|m| m.into_iter().collect())
-            .collect();
         let model = &*self.model;
         let aggregator = self.aggregator;
         // adt-allow(determinism): wall-clock feeds ScanStats timing fields only, never detection results
@@ -436,8 +458,13 @@ impl ScanEngine {
             self.threads,
             "scan_csv",
             || WorkerCache::new(self.cache_pool.clone(), model),
-            |worker, _, column_counts| {
-                model.scan_value_counts_bound(column_counts, aggregator, worker.cache_mut())
+            |worker, _, column| {
+                model.scan_value_table_bound(
+                    &column.values,
+                    &column.counts,
+                    aggregator,
+                    worker.cache_mut(),
+                )
             },
         )?;
         let scan_wall = scan_start.elapsed();
@@ -597,6 +624,49 @@ mod tests {
         assert_eq!(stream_report.columns[2].header, None);
         assert!(!stream_report.findings.is_empty());
         assert_eq!(stream_report.findings[0].finding.suspect, "2014/04/04");
+
+        // Past the model's distinct-value cap (50): an all-distinct table,
+        // where the cap keeps the lexicographically first values, and a
+        // column whose one value repeats more often than the cap, so its
+        // count orders it first.
+        use std::fmt::Write;
+        let mut all_distinct = String::from("date,amount,code\n");
+        for i in 0..200 {
+            let sep = if i % 37 == 5 { '/' } else { '-' };
+            writeln!(
+                all_distinct,
+                "{}{sep}{:02}{sep}{:02},{},c{i}",
+                1800 + i,
+                i % 12 + 1,
+                i % 28 + 1,
+                i * 7,
+            )
+            .unwrap();
+        }
+        let mut repeated = String::from("date,amount\n");
+        for i in 0..240 {
+            match i % 4 {
+                0 | 1 => writeln!(repeated, "2011-01-01,1"),
+                2 => writeln!(repeated, "{}-02-02,{i}", 1900 + i),
+                _ => writeln!(repeated, "{}/03/03,{}", 1900 + i % 60, i % 9),
+            }
+            .unwrap();
+        }
+        for csv in [&all_distinct, &repeated] {
+            let in_memory = adt_corpus::csv::columns_from_csv_text(csv, ',', true);
+            let memory_report = engine.scan_columns(&in_memory).unwrap();
+            let stream_report = engine.scan_csv(csv.as_bytes(), ',', true).unwrap();
+            assert!(memory_report.columns.iter().all(|c| c.values_scored == 50));
+            assert_eq!(
+                findings_repr(&stream_report.findings),
+                findings_repr(&memory_report.findings)
+            );
+            let (a, b) = (&stream_report.stats, &memory_report.stats);
+            assert_eq!(
+                (a.pairs_scored, a.pairs_flagged, a.pairs_pruned),
+                (b.pairs_scored, b.pairs_flagged, b.pairs_pruned)
+            );
+        }
     }
 
     #[test]
@@ -690,6 +760,29 @@ mod tests {
         let b = solo.scan_columns(&cols).unwrap();
         assert_eq!(a.stats.npmi_probes, b.stats.npmi_probes);
         assert!(b.stats.npmi_probes > 0);
+    }
+
+    #[test]
+    fn cache_pool_reports_the_values_and_bytes_it_holds() {
+        let pool = CachePool::new();
+        assert_eq!((pool.values(), pool.bytes()), (0, 0));
+        let engine = ScanEngine::from_model(tiny_model())
+            .with_threads(1)
+            .with_cache_pool(Arc::clone(&pool));
+        let cols = mixed_columns(6);
+        engine.scan_columns(&cols).unwrap();
+        // Every column has at least two distinct values, so each value was
+        // generalized and cached once.
+        let distinct: std::collections::BTreeSet<&str> =
+            cols.iter().flat_map(|c| c.non_empty_values()).collect();
+        assert_eq!(pool.values(), distinct.len());
+        assert_eq!(
+            pool.bytes(),
+            distinct.iter().map(|v| v.len()).sum::<usize>()
+        );
+        // A warm rerun finds them all and adds nothing.
+        engine.scan_columns(&cols).unwrap();
+        assert_eq!(pool.values(), distinct.len());
     }
 
     #[test]

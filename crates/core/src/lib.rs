@@ -51,6 +51,7 @@ pub mod model;
 pub mod online;
 pub mod selection;
 pub mod training;
+mod values;
 
 pub use aggregate::Aggregator;
 pub use api::{

@@ -499,6 +499,15 @@ fn route_json(ctx: &WorkerCtx, req: &Request) -> (u16, Json) {
                     "model_reload_errors".into(),
                     Json::num(ctx.registry.reload_errors() as f64),
                 ));
+                // What the warm scan caches hold between requests.
+                members.push((
+                    "cache_values".into(),
+                    Json::num(ctx.cache_pool.values() as f64),
+                ));
+                members.push((
+                    "cache_bytes".into(),
+                    Json::num(ctx.cache_pool.bytes() as f64),
+                ));
             }
             (200, v)
         }

@@ -126,6 +126,14 @@ fn sequential_scans_reuse_the_pooled_cache() {
     let (probes, hits) = counters(&client);
     assert_eq!(probes, cold_probes, "the warm scan recomputed scores");
     assert_eq!(hits - cold_hits, cold_probes + cold_hits);
+    // The pooled cache holds each distinct value of the request once,
+    // and `/v1/stats` reports how many and how many bytes of text.
+    let stats = client.get("/v1/stats").unwrap();
+    let get = |key| stats.get(key).and_then(Json::as_u64).unwrap();
+    let distinct: Vec<&str> = columns.iter().flat_map(|c| c.non_empty_values()).collect();
+    assert_eq!(get("cache_values"), distinct.len() as u64);
+    let bytes: usize = distinct.iter().map(|v| v.len()).sum();
+    assert_eq!(get("cache_bytes"), bytes as u64);
 
     handle.shutdown();
     join.finish().unwrap();

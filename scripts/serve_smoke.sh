@@ -9,8 +9,9 @@
 # flagged by the plain scan or by a union ensemble, if a header holding
 # `"`, `\`, a tab and a non-ASCII character does not come back verbatim,
 # if a removed merge policy is not refused with the valid ones named, if
-# `/v1/stats` does not show three clean scans with every phase timed, or
-# if the server does not exit cleanly after `stop`.
+# `/v1/stats` does not show three clean scans with every phase timed and
+# warm caches holding values within their byte bound, or if the server
+# does not exit cleanly after `stop`.
 set -eu
 
 BIN=${1:?usage: serve_smoke.sh path/to/autodetect-binary}
@@ -37,8 +38,12 @@ when,amount
 2019-03-05,88
 EOF
 
+# Two HTTP workers of one engine thread each: at most two pooled scan
+# caches, whatever the machine's core count.
+WORKERS=2
 echo "== serve smoke: starting server"
 "$BIN" serve --models "$WORK/models" --addr 127.0.0.1:0 \
+    --workers "$WORKERS" --threads 1 \
     > "$WORK/serve.out" 2> "$WORK/serve.err" &
 SERVER_PID=$!
 
@@ -104,10 +109,13 @@ if ! grep -q "vote:k" "$WORK/calibrated.err"; then
 fi
 
 # The three successful scans are counted in /v1/stats (the refused one
-# is a client error), nothing failed on the server, and each
-# decode/scan/encode phase took measurable time.
-if ! python3 - "$ADDR" <<'EOF'
+# is a client error), nothing failed on the server, each
+# decode/scan/encode phase took measurable time, and the pooled caches
+# hold the scanned values within adt_core::detector::VALUE_BYTES_CAPACITY
+# (16 MiB) per cache, one cache per worker.
+if ! python3 - "$ADDR" "$WORKERS" <<'EOF'
 import json, sys, urllib.request
+VALUE_BYTES_CAPACITY = 16 * 1024 * 1024
 # Loopback only: ignore any proxy the environment names.
 opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
 with opener.open("http://%s/v1/stats" % sys.argv[1], timeout=10) as r:
@@ -119,8 +127,16 @@ if (stats.get("scans_ok") != 3 or stats.get("server_errors") != 0
     sys.exit("serve smoke FAILED: /v1/stats scans_ok %r, server_errors %r, "
              "scan_phases %r" % (stats.get("scans_ok"),
                                  stats.get("server_errors"), phases))
-print("== serve smoke: scans_ok 3, server_errors 0, scan_phases %s" %
-      ", ".join("%s %.0f" % kv for kv in sorted(phases.items())))
+values, cache_bytes = stats.get("cache_values"), stats.get("cache_bytes")
+if (not isinstance(values, (int, float)) or values <= 0
+        or not isinstance(cache_bytes, (int, float))
+        or not 0 < cache_bytes <= VALUE_BYTES_CAPACITY * int(sys.argv[2])):
+    sys.exit("serve smoke FAILED: /v1/stats cache_values %r, cache_bytes %r"
+             % (values, cache_bytes))
+print("== serve smoke: scans_ok 3, server_errors 0, scan_phases %s, "
+      "cache_values %d, cache_bytes %d" %
+      (", ".join("%s %.0f" % kv for kv in sorted(phases.items())),
+       values, cache_bytes))
 EOF
 then
     cat "$WORK/serve.err" >&2
