@@ -78,7 +78,7 @@ pub struct FileClass {
     /// Wall-clock reads are allowed (serve stats layer, the bench crate,
     /// and the `perfbench/` benchmark package).
     pub time_exempt: bool,
-    /// Panic-safety rules apply (scan kernel, serve handlers).
+    /// Panic-safety rules apply (scan kernel, worker pool, serve handlers).
     pub panic_scope: bool,
     /// Lock-discipline rules apply (adt-serve, ensemble/online threads).
     pub lock_scope: bool,
@@ -105,6 +105,7 @@ pub fn classify(rel: &str) -> FileClass {
             || rel == "crates/core/src/online.rs"
             || rel == "crates/stats/src/build.rs"
             || rel == "crates/stats/src/pipeline.rs"
+            || rel == "crates/stats/src/pool.rs"
             || rel == "crates/patterns/src/classify.rs"
             || serve_handler,
         lock_scope: serve_src

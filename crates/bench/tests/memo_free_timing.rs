@@ -14,9 +14,16 @@ use adt_corpus::{generate_corpus, CorpusProfile};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Cold-cache scans per kernel; the gate compares their medians.
+/// Cold-cache scans per kernel, run in alternating pairs; the gate
+/// takes the median of the pairs' kernel/reference ratios. A pair's two
+/// scans run back to back, so a slow stretch of the machine (a
+/// descheduling, or a shared core running at about two thirds of its
+/// usual speed for many milliseconds) lands on both halves and cancels
+/// in the ratio; the median then drops the few pairs that straddle such
+/// a switch. Comparing each side's own median or minimum instead lets
+/// one side's lucky or unlucky runs decide the gate.
 const ITERS: usize = 9;
-/// Kernel median over reference median, at most.
+/// Median kernel/reference pair ratio, at most.
 const BOUND: f64 = 1.10;
 
 /// A small Coarse36 model on 1,000 clean WEB columns, trained in
@@ -44,11 +51,6 @@ fn all_distinct(d: usize) -> Vec<(String, usize)> {
         .collect()
 }
 
-fn median(mut samples: Vec<u128>) -> u128 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 #[test]
 fn memo_free_scan_within_ten_percent_of_reference() {
     let model = bench_model();
@@ -67,8 +69,9 @@ fn memo_free_scan_within_ten_percent_of_reference() {
     );
     assert_eq!(format!("{findings:?}"), format!("{reference:?}"));
 
-    // Alternate the two kernels so a slow stretch of the machine lands
-    // on both sides; every scan starts from a cold cache.
+    // Alternate the two kernels, pairing each kernel scan with the
+    // reference scan right after it; every scan starts from a cold
+    // cache.
     let mut kernel_ns = Vec::with_capacity(ITERS);
     let mut reference_ns = Vec::with_capacity(ITERS);
     for _ in 0..ITERS {
@@ -81,11 +84,17 @@ fn memo_free_scan_within_ten_percent_of_reference() {
         black_box(model.scan_value_counts_reference(&counts, Aggregator::AutoDetect, &mut cache));
         reference_ns.push(t0.elapsed().as_nanos());
     }
-    let (kernel, reference) = (median(kernel_ns), median(reference_ns));
-    let ratio = kernel as f64 / reference as f64;
-    eprintln!("memo-free scan {kernel} ns vs reference {reference} ns ({ratio:.2}x)");
+    let mut ratios: Vec<f64> = kernel_ns
+        .iter()
+        .zip(&reference_ns)
+        .map(|(&k, &r)| k as f64 / r as f64)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[ITERS / 2];
+    eprintln!("memo-free scan / reference: median pair ratio {ratio:.2}x of {ratios:.2?}");
     assert!(
         ratio <= BOUND,
-        "memo-free scan {kernel} ns vs reference {reference} ns: {ratio:.2}x exceeds {BOUND}x"
+        "memo-free scan / reference: median pair ratio {ratio:.2}x of {ratios:.2?} exceeds {BOUND}x \
+         (kernel {kernel_ns:?} ns, reference {reference_ns:?} ns)"
     );
 }

@@ -1,7 +1,7 @@
 //! Training and detection configuration.
 
 use crate::error::AdtError;
-use adt_stats::{CoocMode, NpmiParams, PipelineOptions, SketchSpec, StatsConfig};
+use adt_stats::{resolve_threads, CoocMode, NpmiParams, PipelineOptions, SketchSpec, StatsConfig};
 
 /// Which candidate language space to optimize over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,13 +47,12 @@ pub struct AutoDetectConfig {
     /// (Appendix F uses −0.3: drop `C₂ ∪ {u}` if any `v ∈ C₂` has
     /// `NPMI(G(u), G(v)) ≥ −0.3`).
     pub negative_prune_threshold: f64,
-    /// Worker threads for per-language scans.
-    pub threads: usize,
-    /// Worker threads for the training pipeline; `0` defers to
-    /// [`AutoDetectConfig::threads`]. Training results are identical at
-    /// any setting (each language accumulates on one worker, in column
-    /// order), so this only tunes wall-clock; the accumulate phase uses
-    /// at most one worker per language of a batch.
+    /// Worker threads for the training pipeline; `0` means all available
+    /// cores (the worker pool's rule, `adt_stats::resolve_threads`).
+    /// Training results are identical at any setting (each language
+    /// accumulates on one worker, in column order), so this only tunes
+    /// wall-clock; the accumulate phase uses at most one worker per
+    /// language of a batch.
     pub train_threads: usize,
     /// Cap on distinct values per column considered during detection
     /// (carried into the trained model).
@@ -79,9 +78,6 @@ impl Default for AutoDetectConfig {
             training_examples: 100_000,
             compat_threshold: -0.2,
             negative_prune_threshold: -0.3,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             train_threads: 0,
             max_distinct_values: 64,
             seed: 0xAD7_7EA1,
@@ -118,21 +114,16 @@ impl AutoDetectConfig {
     }
 
     /// Worker threads the training pipeline will actually use:
-    /// [`AutoDetectConfig::train_threads`] when set, otherwise
-    /// [`AutoDetectConfig::threads`] (floored at 1).
+    /// [`AutoDetectConfig::train_threads`] resolved by the worker pool's
+    /// rule (`0` = all available cores).
     pub fn effective_train_threads(&self) -> usize {
-        if self.train_threads > 0 {
-            self.train_threads
-        } else {
-            self.threads.max(1)
-        }
+        resolve_threads(self.train_threads)
     }
 
-    /// Pipeline options for offline training passes: the effective
-    /// thread count.
+    /// Pipeline options for offline training passes.
     pub fn train_pipeline_options(&self) -> PipelineOptions {
         PipelineOptions {
-            threads: self.effective_train_threads(),
+            threads: self.train_threads,
             ..PipelineOptions::default()
         }
     }
@@ -192,10 +183,10 @@ impl AutoDetectConfig {
 /// let config = AutoDetectConfig::builder()
 ///     .precision_target(0.9)
 ///     .memory_budget(32 << 20)
-///     .threads(4)
+///     .train_threads(4)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(config.threads, 4);
+/// assert_eq!(config.train_threads, 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AutoDetectConfigBuilder {
@@ -215,20 +206,8 @@ impl AutoDetectConfigBuilder {
         self
     }
 
-    /// Worker threads for parallel scans; `0` means all available cores.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        self
-    }
-
-    /// Worker threads for the training pipeline; `0` defers to the scan
-    /// thread count.
+    /// Worker threads for the training pipeline; `0` means all available
+    /// cores.
     pub fn train_threads(mut self, threads: usize) -> Self {
         self.config.train_threads = threads;
         self
@@ -319,7 +298,7 @@ mod tests {
         let c = AutoDetectConfig::builder()
             .precision_target(0.9)
             .memory_budget(1 << 20)
-            .threads(3)
+            .train_threads(3)
             .max_distinct_values(10)
             .training_examples(500)
             .space(LanguageSpace::Coarse36)
@@ -327,7 +306,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.precision_target, 0.9);
-        assert_eq!(c.threads, 3);
+        assert_eq!(c.train_threads, 3);
         assert_eq!(c.max_distinct_values, 10);
         assert_eq!(c.space, LanguageSpace::Coarse36);
     }
@@ -374,25 +353,22 @@ mod tests {
         assert_eq!(c.train_pipeline_options().threads, 3);
     }
 
+    /// `train_threads: 0` is all available cores, resolved by the
+    /// worker pool's one rule; a set count is used as given.
     #[test]
     fn builder_zero_threads_means_available_parallelism() {
-        let c = AutoDetectConfig::builder().threads(0).build().unwrap();
-        assert!(c.threads >= 1);
-    }
-
-    #[test]
-    fn train_threads_defers_to_scan_threads_when_zero() {
         let c = AutoDetectConfig::builder()
-            .threads(3)
             .train_threads(0)
             .build()
             .unwrap();
-        assert_eq!(c.effective_train_threads(), 3);
+        assert_eq!(c.train_threads, 0);
+        assert_eq!(c.effective_train_threads(), resolve_threads(0));
+        assert!(c.effective_train_threads() >= 1);
         let c = AutoDetectConfig::builder()
-            .threads(3)
             .train_threads(7)
             .build()
             .unwrap();
         assert_eq!(c.effective_train_threads(), 7);
+        assert_eq!(c.train_pipeline_options().threads, 7);
     }
 }

@@ -983,17 +983,6 @@ impl AutoDetect {
 /// test; production builds carry only the group kernel.
 #[cfg(any(test, feature = "reference-kernel"))]
 impl AutoDetect {
-    /// [`AutoDetect::scan_column`] through the reference kernel.
-    pub fn scan_column_reference(
-        &self,
-        column: &Column,
-        aggregator: Aggregator,
-        cache: &mut PatternCache,
-    ) -> (Vec<ColumnFinding>, ScanStats) {
-        let (distinct, total_distinct) = self.distinct_capped(column);
-        self.scan_pairs_reference(&distinct, total_distinct, aggregator, cache)
-    }
-
     /// [`AutoDetect::scan_value_counts`] through the reference kernel.
     pub fn scan_value_counts_reference(
         &self,

@@ -1,12 +1,13 @@
 //! The parallel scan engine.
 //!
 //! [`ScanEngine`] is the production scan surface: it holds a shared
-//! trained model (`Arc<AutoDetect>`) and fans the columns of a table,
-//! corpus, or streamed CSV over a pool of scoped worker threads. Workers
-//! pull column indices from an atomic queue (the same shape as the
-//! `adt_stats` training pipeline's language tasks), each keeping a private
-//! [`PatternCache`] so every distinct value is generalized once under all
-//! languages and reused across the columns that worker scans.
+//! trained model (`Arc<AutoDetect>`) and fans the columns of a table or
+//! streamed CSV over the one worker pool, [`adt_stats::parallel_map_with`]
+//! (the pool the training pipeline's language tasks run on). Each worker
+//! keeps a private [`PatternCache`] so every distinct value is
+//! generalized once under all languages and reused across the columns
+//! that worker scans. A panicking worker surfaces as
+//! [`AdtError::Worker`] at every thread count, one included.
 //!
 //! **Determinism.** Per-column detection is a pure function of the
 //! column's contents — caches only memoize, results are collected into
@@ -25,101 +26,12 @@ use crate::detector::{
 };
 use crate::error::AdtError;
 use crate::values::ValueTable;
-use adt_corpus::{Column, Corpus, CsvRecords, Table};
-use adt_stats::pipeline::join_all;
+use adt_corpus::{Column, CsvRecords, Table};
+use adt_stats::{parallel_map_with, resolve_threads};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Resolves a configured thread count: `0` means all available cores.
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
-/// Applies `f` to every item of `items` across `threads` scoped worker
-/// threads (0 = all cores), preserving input order in the result.
-///
-/// Workers pull indices from an atomic queue, so uneven per-item cost
-/// balances automatically. A worker panic surfaces as
-/// [`AdtError::Worker`] carrying `section`.
-pub fn parallel_map<T, R, F>(
-    items: &[T],
-    threads: usize,
-    section: &'static str,
-    f: F,
-) -> Result<Vec<R>, AdtError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_with(items, threads, section, || (), |_, i, t| f(i, t))
-}
-
-/// Like [`parallel_map`], with per-worker mutable state: each worker
-/// calls `init` once and threads the state through its items (the engine
-/// passes a [`PatternCache`] here). Results must not depend on the state
-/// for the output to stay deterministic across thread counts.
-pub fn parallel_map_with<T, R, S, Init, F>(
-    items: &[T],
-    threads: usize,
-    section: &'static str,
-    init: Init,
-    f: F,
-) -> Result<Vec<R>, AdtError>
-where
-    T: Sync,
-    R: Send,
-    Init: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let threads = resolve_threads(threads).min(items.len()).max(1);
-    if threads == 1 {
-        let mut state = init();
-        return Ok(items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut state, i, t))
-            .collect());
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-    let panicked = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        let r = f(&mut state, i, &items[i]);
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-                    }
-                })
-            })
-            .collect();
-        join_all(workers)
-    });
-    if panicked {
-        return Err(AdtError::Worker(section));
-    }
-    let mut out = Vec::with_capacity(items.len());
-    for slot in slots {
-        let r = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-        out.push(r.ok_or(AdtError::Worker(section))?);
-    }
-    Ok(out)
-}
 
 /// A shared pool of [`PatternCache`]s checked out by scan workers and
 /// returned when a parallel section ends.
@@ -309,8 +221,9 @@ impl ScanReport {
     }
 }
 
-/// The parallel scan engine: a shared trained model plus scan policy
-/// (thread count, aggregator).
+/// The parallel scan engine: a shared trained model plus a thread count,
+/// scanning with the paper's native ST aggregation
+/// ([`Aggregator::AutoDetect`]).
 ///
 /// ```no_run
 /// use std::sync::Arc;
@@ -329,18 +242,15 @@ impl ScanReport {
 pub struct ScanEngine {
     model: Arc<AutoDetect>,
     threads: usize,
-    aggregator: Aggregator,
     cache_pool: Option<Arc<CachePool>>,
 }
 
 impl ScanEngine {
-    /// An engine over a shared model, scanning with all available cores
-    /// and the paper's native ST aggregation.
+    /// An engine over a shared model, scanning with all available cores.
     pub fn new(model: Arc<AutoDetect>) -> Self {
         ScanEngine {
             model,
             threads: 0,
-            aggregator: Aggregator::AutoDetect,
             cache_pool: None,
         }
     }
@@ -353,12 +263,6 @@ impl ScanEngine {
     /// Sets the worker thread count; `0` means all available cores.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the pair aggregator (Figure 8(b) variants).
-    pub fn with_aggregator(mut self, aggregator: Aggregator) -> Self {
-        self.aggregator = aggregator;
         self
     }
 
@@ -380,7 +284,6 @@ impl ScanEngine {
         // adt-allow(determinism): wall-clock feeds ScanStats timing fields only, never detection results
         let start = Instant::now();
         let model = &*self.model;
-        let aggregator = self.aggregator;
         // adt-allow(determinism): wall-clock feeds ScanStats timing fields only, never detection results
         let scan_start = Instant::now();
         let results = parallel_map_with(
@@ -388,7 +291,9 @@ impl ScanEngine {
             self.threads,
             "scan_columns",
             || WorkerCache::new(self.cache_pool.clone(), model),
-            |worker, _, col| model.scan_column_bound(col, aggregator, worker.cache_mut()),
+            |worker, _, col| {
+                model.scan_column_bound(col, Aggregator::AutoDetect, worker.cache_mut())
+            },
         )?;
         let scan_wall = scan_start.elapsed();
         let headers = columns.iter().map(|c| c.header.clone()).collect();
@@ -398,11 +303,6 @@ impl ScanEngine {
     /// Scans every column of a table.
     pub fn scan_table(&self, table: &Table) -> Result<ScanReport, AdtError> {
         self.scan_columns(&table.columns)
-    }
-
-    /// Scans every column of a corpus.
-    pub fn scan_corpus(&self, corpus: &Corpus) -> Result<ScanReport, AdtError> {
-        self.scan_columns(corpus.columns())
     }
 
     /// Streams a CSV and scans its columns without materializing the
@@ -450,7 +350,6 @@ impl ScanEngine {
         }
         let read_wall = read_start.elapsed();
         let model = &*self.model;
-        let aggregator = self.aggregator;
         // adt-allow(determinism): wall-clock feeds ScanStats timing fields only, never detection results
         let scan_start = Instant::now();
         let results = parallel_map_with(
@@ -462,7 +361,7 @@ impl ScanEngine {
                 model.scan_value_table_bound(
                     &column.values,
                     &column.counts,
-                    aggregator,
+                    Aggregator::AutoDetect,
                     worker.cache_mut(),
                 )
             },
@@ -823,16 +722,33 @@ mod tests {
         assert_eq!(warm.stats.npmi_memo_hits, cold.stats.npmi_memo_hits);
     }
 
+    /// The engine's fan-out: pooled worker caches, results in input
+    /// order, and a panicking column a typed error at every thread count,
+    /// one included, with each worker's cache back in the pool after the
+    /// unwind.
     #[test]
     fn parallel_map_preserves_order_and_reports_panics() {
+        let model = tiny_model();
+        let pool = CachePool::new();
         let items: Vec<usize> = (0..100).collect();
-        let out = parallel_map(&items, 8, "double", |_, &x| x * 2).unwrap();
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-        let err = parallel_map(&items, 4, "boom", |_, &x| {
-            assert!(x != 50, "planted panic");
-            x
-        })
-        .unwrap_err();
-        assert!(matches!(err, AdtError::Worker("boom")));
+        for threads in [1, 4] {
+            let run = |planted: Option<usize>| -> Result<Vec<usize>, AdtError> {
+                Ok(parallel_map_with(
+                    &items,
+                    threads,
+                    "scan_columns",
+                    || WorkerCache::new(Some(Arc::clone(&pool)), &model),
+                    |_, _, &x| {
+                        assert!(Some(x) != planted, "planted panic");
+                        x * 2
+                    },
+                )?)
+            };
+            let out = run(None).unwrap();
+            assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+            let err = run(Some(50)).unwrap_err();
+            assert!(matches!(err, AdtError::Worker("scan_columns")), "{err}");
+            assert!((1..=threads).contains(&pool.size()), "{threads} threads");
+        }
     }
 }

@@ -8,12 +8,14 @@
 //! * every member implements the canonical [`Detector`] trait and is
 //!   driven through `detect_batch`, so setup cost (Auto-Detect's pattern
 //!   cache) is amortized per chunk rather than per column;
-//! * work is fanned over [`parallel_map`] as (detector × column-chunk)
-//!   items whose chunk width is a pure function of the **column count**
-//!   (never the thread count), so the work decomposition — and
-//!   therefore every detector's output — is independent of the thread
-//!   count; batches too small to amortize the fan-out run serially,
-//!   which changes scheduling only, not decomposition;
+//! * work is fanned over the worker pool ([`parallel_map`]) as
+//!   (detector × column-chunk) items whose chunk width is a pure
+//!   function of the **column count** (never the thread count), so the
+//!   work decomposition — and therefore every detector's output — is
+//!   independent of the thread count; batches too small to amortize the
+//!   fan-out run serially, which changes scheduling only, not
+//!   decomposition, and a panicking member is [`AdtError::Worker`] on
+//!   either path;
 //! * per-detector wall time and prediction counts are recorded as
 //!   [`DetectorLane`]s in the [`EnsembleReport`];
 //! * rankings are merged by a pluggable [`MergePolicy`], deduping by
@@ -34,9 +36,9 @@
 //! (`adt_baselines::DetectorId::Union`).
 
 use crate::api::{finalize_predictions, Detector, Prediction};
-use crate::engine::parallel_map;
 use crate::error::AdtError;
 use adt_corpus::Column;
+use adt_stats::parallel_map;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -545,6 +547,39 @@ mod tests {
         assert_eq!(det.with_merge(MergePolicy::Vote(2)).name(), "Vote");
         // A member panic or an empty member set degrades to silence.
         assert_eq!(EnsembleEngine::new(Vec::new()).detect(&columns[0]), []);
+    }
+
+    /// Panics on every column.
+    struct Panics;
+
+    impl Detector for Panics {
+        fn name(&self) -> &'static str {
+            "Panics"
+        }
+        fn detect(&self, _column: &Column) -> Vec<Prediction> {
+            panic!("planted member panic")
+        }
+    }
+
+    /// A panicking member is a typed error on the serial path (a batch
+    /// under `SERIAL_CUTOFF_UNITS`) and on the threaded one, and the
+    /// engine used as a detector degrades to no predictions.
+    #[test]
+    fn panicking_member_is_a_worker_error_at_every_batch_size() {
+        for (n, threads) in [(3, 4), (200, 1), (200, 4)] {
+            let columns = cols(n);
+            let mut members = engine().detectors;
+            members.push(Box::new(Panics));
+            let e = EnsembleEngine::new(members).with_threads(threads);
+            let err = e.run(&columns).err();
+            assert!(
+                matches!(err, Some(AdtError::Worker("ensemble"))),
+                "{n} columns, {threads} threads: {err:?}"
+            );
+            let batch = e.detect_batch(&columns);
+            assert_eq!(batch.len(), n);
+            assert!(batch.iter().all(Vec::is_empty));
+        }
     }
 
     #[test]

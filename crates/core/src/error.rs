@@ -4,6 +4,7 @@
 //! model persistence used to produce, and the `expect(...)` panics on
 //! worker-thread joins in training and scanning.
 
+use adt_stats::StatsError;
 use std::fmt;
 use std::io;
 
@@ -63,6 +64,14 @@ impl std::error::Error for AdtError {
 impl From<io::Error> for AdtError {
     fn from(e: io::Error) -> Self {
         AdtError::Io(e)
+    }
+}
+
+/// A panic in the worker pool or the training pipeline.
+impl From<StatsError> for AdtError {
+    fn from(e: StatsError) -> Self {
+        let StatsError::WorkerPanicked(section) = e;
+        AdtError::Worker(section)
     }
 }
 

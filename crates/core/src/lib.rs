@@ -18,9 +18,11 @@
 //!    (AvgNPMI, MinNPMI, majority voting, weighted voting, best-single);
 //! 6. [`model`] — the trainer that wires it all together plus `.bin`
 //!    persistence;
-//! 7. [`engine`] — the parallel [`ScanEngine`]: fans columns over scoped
-//!    worker threads with per-worker pattern caches, streams large CSV
-//!    inputs in bounded memory, and reports per-stage counters/timings;
+//! 7. [`engine`] — the parallel [`ScanEngine`]: fans columns over the
+//!    one worker pool (`adt_stats::pool`, shared with training, the
+//!    ensemble, evaluation and the server) with per-worker pattern
+//!    caches, streams large CSV inputs in bounded memory, and reports
+//!    per-stage counters/timings;
 //! 8. [`api`] — the shared [`Detector`] trait every method (Auto-Detect
 //!    and the baselines) implements, single-column and batch, so
 //!    evaluation drivers, the ensemble, and services consume one trait
@@ -65,10 +67,7 @@ pub use detector::{
     ScanStats, TableFinding,
 };
 pub use dt::{dt_optimize, DtProblem, DtSolution};
-pub use engine::{
-    parallel_map, parallel_map_with, resolve_threads, CachePool, ColumnSummary, ScanEngine,
-    ScanReport,
-};
+pub use engine::{CachePool, ColumnSummary, ScanEngine, ScanReport};
 pub use ensemble::{DetectorLane, EnsembleEngine, EnsembleReport, MergePolicy};
 pub use error::AdtError;
 pub use model::{

@@ -9,14 +9,9 @@ use crate::selection::{greedy_select, CandidateSummary, SelectionResult};
 use crate::training::{build_training_set, TrainingSet};
 use adt_corpus::Corpus;
 use adt_patterns::PatternHash;
-use adt_stats::{LanguageStats, PipelineReport, StatsError};
+use adt_stats::{LanguageStats, PipelineReport};
 use std::io;
 use std::path::Path;
-
-fn pipeline_error(e: StatsError) -> AdtError {
-    let StatsError::WorkerPanicked(phase) = e;
-    AdtError::Worker(phase)
-}
 
 /// Per-candidate training diagnostics.
 #[derive(Debug, Clone)]
@@ -115,7 +110,7 @@ impl<'t> InternedTrainingSet<'t> {
 /// (`adt_stats::TrainPipeline`): the corpus is interned once, every
 /// distinct value is generalized under whole language batches in a
 /// single traversal, and the languages of a batch accumulate on up to
-/// `config.effective_train_threads()` workers, one language each. Each
+/// `config.train_threads` workers (0 = all cores), one language each. Each
 /// worker calibrates the language it built and drops its statistics, so
 /// at most one candidate's pair table per worker is alive; only the
 /// selected languages are rebuilt for the final model.
@@ -176,7 +171,7 @@ pub fn calibrate_candidates_with_report(
             }
         },
     )
-    .map_err(pipeline_error)
+    .map_err(AdtError::from)
 }
 
 /// [`calibrate_candidates_with_report`] without the counter report.
@@ -226,7 +221,7 @@ pub fn select_and_assemble(
         &opts,
         |_, s, _| s,
     )
-    .map_err(pipeline_error)?;
+    .map_err(AdtError::from)?;
 
     let reports: Vec<CandidateReport> = pool
         .iter()
@@ -507,7 +502,7 @@ mod tests {
     fn quick_config() -> AutoDetectConfig {
         AutoDetectConfig {
             training_examples: 3_000,
-            threads: 2,
+            train_threads: 2,
             ..AutoDetectConfig::small()
         }
     }

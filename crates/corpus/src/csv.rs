@@ -301,15 +301,6 @@ impl<R: io::BufRead> Iterator for CsvRecords<R> {
     }
 }
 
-/// Opens a CSV file as a streaming record iterator.
-pub fn stream_csv_records<P: AsRef<Path>>(
-    path: P,
-    delim: char,
-) -> io::Result<CsvRecords<io::BufReader<std::fs::File>>> {
-    let file = std::fs::File::open(path)?;
-    Ok(CsvRecords::new(io::BufReader::new(file), delim))
-}
-
 /// Writes columns back out as CSV (used by examples to persist findings).
 pub fn columns_to_csv_text(columns: &[Column], delim: char) -> String {
     let mut out = String::new();

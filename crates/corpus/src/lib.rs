@@ -36,7 +36,7 @@ pub mod table;
 
 pub use column::{Column, LabeledColumn, SourceTag};
 pub use corpus::Corpus;
-pub use csv::{load_csv, stream_csv_records, CsvRecords};
+pub use csv::{load_csv, CsvRecords};
 pub use domains::{DomainKind, Family};
 pub use errors::{corrupt_value, inject_error, ErrorKind};
 pub use generator::{generate_corpus, generate_labeled_columns, CorpusGenerator};

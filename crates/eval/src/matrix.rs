@@ -156,8 +156,8 @@ impl MatrixReport {
 
 /// Runs every detector, paired with its configuration name, over every
 /// scenario. Detection within a scenario fans over `threads` workers
-/// (0 = all cores) via the core engine's `parallel_map`, so cells are
-/// identical at any thread count.
+/// (0 = all cores) on the worker pool (`adt_stats::parallel_map`), so
+/// cells are identical at any thread count.
 pub fn run_matrix(
     detectors: &[(&str, &dyn Detector)],
     scenarios: &[Scenario],

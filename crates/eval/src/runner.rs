@@ -2,12 +2,11 @@
 //!
 //! Every method under evaluation — the §4.2 baselines and Auto-Detect
 //! itself — is one [`Detector`] trait object, and [`run_method`] fans
-//! the test cases over worker threads via the core scan engine's
-//! `parallel_map`.
+//! the test cases over the worker pool (`adt_stats::parallel_map`).
 
 use crate::testcases::TestCase;
 use adt_core::api::{Detector, Prediction};
-use adt_core::parallel_map;
+use adt_stats::parallel_map;
 
 /// Runs a detector over all test cases in parallel (all cores);
 /// `predictions[i]` are the ranked predictions for `cases[i]`, identical

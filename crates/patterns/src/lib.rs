@@ -36,7 +36,6 @@
 
 pub mod classify;
 pub mod crude;
-pub mod cut;
 pub mod distance;
 pub mod enumeration;
 pub mod language;
@@ -46,7 +45,6 @@ pub mod tree;
 
 pub use classify::{char_runs, CharRun, CharRuns};
 pub use crude::crude_generalize;
-pub use cut::{whitespace_tree, CutLanguage};
 pub use distance::{normalized_pattern_distance, pattern_distance};
 pub use enumeration::{enumerate_coarse_languages, enumerate_restricted_languages};
 pub use language::{CharKind, Language, Level};

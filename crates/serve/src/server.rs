@@ -33,6 +33,7 @@ use adt_core::{
     ScanEngine, TableFinding,
 };
 use adt_corpus::Column;
+use adt_stats::resolve_threads;
 use std::io::{BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -217,14 +218,11 @@ impl Server {
 
     /// Serves until shutdown is requested, then drains and returns.
     pub fn run(self) -> Result<(), AdtError> {
-        let workers = adt_core::resolve_threads(self.config.workers).max(1);
+        let workers = resolve_threads(self.config.workers).max(1);
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(self.config.queue_capacity.max(1));
         let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let engine_threads = engine_threads_per_scan(
-            self.config.engine_threads,
-            workers,
-            adt_core::resolve_threads(0),
-        );
+        let engine_threads =
+            engine_threads_per_scan(self.config.engine_threads, workers, resolve_threads(0));
 
         // The learn loop: a bounded ingest queue feeding one background
         // learner thread. Workers hold the only senders after spawn, so

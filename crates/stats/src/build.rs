@@ -9,12 +9,12 @@
 //! passes both run through [`for_each_language_stats`]. Results are
 //! bit-identical to the per-language serial scan
 //! ([`LanguageStats::build`]) at any thread count; the old
-//! language-major fan-out survives as
-//! [`collect_stats_reference`] behind `cfg(test)` for differential
-//! tests.
+//! language-major build survives, serial, as `collect_stats_reference`
+//! behind `cfg(test)` for differential tests.
 
 use crate::language_stats::{LanguageStats, StatsConfig};
-use crate::pipeline::{PipelineOptions, PipelineReport, StatsError, TrainPipeline};
+use crate::pipeline::{PipelineOptions, PipelineReport, TrainPipeline};
+use crate::pool::StatsError;
 use adt_corpus::Corpus;
 use adt_patterns::{Language, PatternHash};
 
@@ -59,48 +59,19 @@ pub fn collect_stats_for_languages(
     Ok(for_each_language_stats(languages, corpus, &[], config, &opts, |_, s, _| s)?.0)
 }
 
-/// The pre-pipeline language-major build: one full corpus scan per
-/// language, fanned out over scoped threads. Kept as the
-/// ground truth for differential tests.
+/// The pre-pipeline language-major build: one full serial corpus scan
+/// per language ([`LanguageStats::build`]). Kept as the ground truth
+/// for differential tests.
 #[cfg(test)]
 pub fn collect_stats_reference(
     languages: &[Language],
     corpus: &Corpus,
     config: &StatsConfig,
-    threads: usize,
-) -> Result<Vec<LanguageStats>, StatsError> {
-    use crate::pipeline::join_all;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Mutex, PoisonError};
-
-    let threads = threads.max(1).min(languages.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<LanguageStats>>> =
-        (0..languages.len()).map(|_| Mutex::new(None)).collect();
-    let panicked = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&lang) = languages.get(i) else { break };
-                    let stats = LanguageStats::build(lang, corpus, config);
-                    if let Some(slot) = slots.get(i) {
-                        *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(stats);
-                    }
-                })
-            })
-            .collect();
-        join_all(workers)
-    });
-    if panicked {
-        return Err(StatsError::WorkerPanicked("reference build"));
-    }
-    let mut out = Vec::with_capacity(languages.len());
-    for slot in slots {
-        let stats = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-        out.push(stats.ok_or(StatsError::WorkerPanicked("reference build"))?);
-    }
-    Ok(out)
+) -> Vec<LanguageStats> {
+    languages
+        .iter()
+        .map(|&lang| LanguageStats::build(lang, corpus, config))
+        .collect()
 }
 
 #[cfg(test)]
@@ -129,7 +100,7 @@ mod tests {
         let corpus = small_corpus();
         let langs = enumerate_coarse_languages();
         let config = StatsConfig::default();
-        let reference = collect_stats_reference(&langs, &corpus, &config, 2).unwrap();
+        let reference = collect_stats_reference(&langs, &corpus, &config);
         for threads in [1, 2, 4, 8] {
             let pipeline = collect_stats_for_languages(&langs, &corpus, &config, threads).unwrap();
             assert_eq!(pipeline.len(), langs.len());

@@ -41,8 +41,9 @@ pub struct LanguageStats {
 }
 
 impl LanguageStats {
-    /// An empty exact statistics accumulator for `language`; feed it
-    /// with [`LanguageStats::absorb_column`].
+    /// An empty exact statistics accumulator for `language`; the serial
+    /// scan ([`LanguageStats::build`]) and the training pipeline fill it
+    /// column by column.
     pub fn empty(language: Language) -> Self {
         LanguageStats {
             language,
@@ -61,49 +62,20 @@ impl LanguageStats {
         // Memoize value -> pattern hash for this language; corpora repeat
         // values heavily (years, placeholders, common words).
         let mut memo: FxHashMap<&str, PatternHash> = FxHashMap::default();
+        let mut hashes: Vec<PatternHash> = Vec::new();
         for col in corpus.columns() {
-            stats.absorb_column_memo(col, config, Some(&mut memo));
+            for v in col.distinct_values() {
+                if v.is_empty() {
+                    continue;
+                }
+                let h = *memo
+                    .entry(v)
+                    .or_insert_with(|| Pattern::hash_value(v, &language));
+                hashes.push(h);
+            }
+            stats.absorb_column_hashes(&mut hashes, config);
         }
         stats
-    }
-
-    /// Incrementally absorbs one column into the statistics (the corpus
-    /// grows; no rebuild needed). Equivalent to having included the
-    /// column in the original [`LanguageStats::build`] scan.
-    pub fn absorb_column(&mut self, column: &adt_corpus::Column, config: &StatsConfig) {
-        self.absorb_column_memo(column, config, None);
-    }
-
-    fn absorb_column_memo<'a>(
-        &mut self,
-        column: &'a adt_corpus::Column,
-        config: &StatsConfig,
-        memo: Option<&mut FxHashMap<&'a str, PatternHash>>,
-    ) {
-        let language = self.language;
-        let mut hashes: Vec<PatternHash> = Vec::new();
-        match memo {
-            Some(memo) => {
-                for v in column.distinct_values() {
-                    if v.is_empty() {
-                        continue;
-                    }
-                    let h = *memo
-                        .entry(v)
-                        .or_insert_with(|| Pattern::hash_value(v, &language));
-                    hashes.push(h);
-                }
-            }
-            None => {
-                for v in column.distinct_values() {
-                    if v.is_empty() {
-                        continue;
-                    }
-                    hashes.push(Pattern::hash_value(v, &language));
-                }
-            }
-        }
-        self.absorb_column_hashes(&mut hashes, config);
     }
 
     /// The column-absorb tail shared by the per-language scan and the
@@ -501,30 +473,6 @@ mod tests {
         let c = corpus_of(&[&["", "x", ""]]);
         let stats = LanguageStats::build(Language::leaf(), &c, &StatsConfig::default());
         assert_eq!(stats.distinct_patterns(), 1);
-    }
-
-    #[test]
-    fn absorb_column_matches_batch_build() {
-        let cols = [
-            vec!["2011-01-01", "2012-02-02"],
-            vec!["1", "1,000", "2"],
-            vec!["x", "y"],
-        ];
-        let config = StatsConfig::default();
-        let all = corpus_of(&[&cols[0][..], &cols[1][..], &cols[2][..]]);
-        let batch = LanguageStats::build(Language::paper_l2(), &all, &config);
-
-        let mut inc = LanguageStats::empty(Language::paper_l2());
-        for c in all.columns() {
-            inc.absorb_column(c, &config);
-        }
-        assert_eq!(inc.n_columns, batch.n_columns);
-        assert_eq!(inc.distinct_patterns(), batch.distinct_patterns());
-        assert_eq!(inc.size_bytes(), batch.size_bytes());
-        let p1 = batch.pattern_of("2011-01-01");
-        let p2 = batch.pattern_of("1,000");
-        assert_eq!(inc.occurrence(p1), batch.occurrence(p1));
-        assert_eq!(inc.cooccurrence(p1, p2), batch.cooccurrence(p1, p2));
     }
 
     #[test]

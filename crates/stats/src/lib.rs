@@ -22,7 +22,12 @@
 //!   occurrence/co-occurrence dictionaries and memo tables;
 //! * [`memo`] — the bounded per-worker pattern-pair score memo consumed
 //!   by [`LanguageStats::npmi_matrix`], the batched scoring surface of
-//!   the detection kernel.
+//!   the detection kernel;
+//! * [`pool`] — the one worker pool ([`parallel_map`],
+//!   [`parallel_map_with`], [`resolve_threads`], [`pool::join_all`]): training's
+//!   accumulate phase, the scan engine, the ensemble engine, evaluation
+//!   and the server all fan out through it, and a panicking worker is a
+//!   typed [`StatsError`] at every thread count.
 
 pub mod build;
 pub mod codec;
@@ -31,6 +36,7 @@ pub mod language_stats;
 pub mod memo;
 pub mod npmi;
 pub mod pipeline;
+pub mod pool;
 pub mod profile;
 pub mod store;
 
@@ -39,8 +45,7 @@ pub use fxhash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use language_stats::{LanguageStats, NpmiMatrix, StatsConfig};
 pub use memo::NpmiMemo;
 pub use npmi::{npmi_from_counts, smoothed_cooccurrence, NpmiParams};
-pub use pipeline::{
-    effective_threads, CoocMode, PipelineOptions, PipelineReport, StatsError, TrainPipeline,
-};
+pub use pipeline::{CoocMode, PipelineOptions, PipelineReport, TrainPipeline};
+pub use pool::{parallel_map, parallel_map_with, resolve_threads, StatsError};
 pub use profile::{column_profile, ColumnProfile, PatternBucket};
 pub use store::{CoocBackend, SketchSpec};

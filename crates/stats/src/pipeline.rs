@@ -48,11 +48,10 @@
 
 use crate::fxhash::FxHashMap;
 use crate::language_stats::{prepare_column_hashes, LanguageStats, StatsConfig};
+use crate::pool::{join_all, parallel_map, resolve_threads, StatsError};
 use adt_corpus::Corpus;
 use adt_patterns::{Language, MultiGeneralizer, PatternHash};
-use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Tuning knobs for the training pipeline.
@@ -91,17 +90,6 @@ impl Default for PipelineOptions {
             threads: 0,
             lang_batch: 12,
         }
-    }
-}
-
-/// Resolves a requested thread count: `0` means all available cores.
-pub fn effective_threads(requested: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
     }
 }
 
@@ -188,26 +176,6 @@ impl PipelineReport {
     }
 }
 
-/// Errors from the parallel training pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StatsError {
-    /// A worker thread panicked during the named phase; partial results
-    /// were discarded.
-    WorkerPanicked(&'static str),
-}
-
-impl fmt::Display for StatsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StatsError::WorkerPanicked(phase) => {
-                write!(f, "statistics worker panicked during {phase}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StatsError {}
-
 fn clock() -> Instant {
     Instant::now() // adt-allow(determinism): wall-clock feeds pipeline timing counters only, never statistics
 }
@@ -254,7 +222,7 @@ impl<'c> TrainPipeline<'c> {
         probes: &[&'c str],
         opts: &PipelineOptions,
     ) -> Result<Self, StatsError> {
-        let threads = effective_threads(opts.threads);
+        let threads = resolve_threads(opts.threads);
         let t0 = clock();
         let mut map: FxHashMap<&'c str, u32> = FxHashMap::default();
         let mut values: Vec<&'c str> = Vec::new();
@@ -405,7 +373,7 @@ impl<'c> TrainPipeline<'c> {
             let col_ids = &self.col_ids;
             let probe_ids = &self.probe_ids;
             let consume_nanos = &consume_nanos;
-            for_each_slot(batch.to_vec(), self.threads, "accumulate", |j, language| {
+            parallel_map(batch, self.threads, "accumulate", |j, &language| {
                 let hash = |id: u32| matrix.get(id as usize * k + j).copied();
                 let mut stats = LanguageStats::empty(language);
                 accumulate_columns(&mut stats, hash, col_offsets, col_ids, config);
@@ -469,74 +437,6 @@ fn accumulate_columns(
     }
 }
 
-/// Runs `f(i, item)` over `items` on up to `threads` scoped workers that
-/// claim items from a shared cursor, returning the results in item order.
-/// A panic in `f` surfaces as [`StatsError::WorkerPanicked`] naming
-/// `phase`.
-fn for_each_slot<T, R, F>(
-    items: Vec<T>,
-    threads: usize,
-    phase: &'static str,
-    f: F,
-) -> Result<Vec<R>, StatsError>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    let inputs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let outputs: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let panicked = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads.min(n))
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(input) = inputs.get(i) else { break };
-                    let Some(item) = lock(input).take() else {
-                        continue;
-                    };
-                    let r = f(i, item);
-                    if let Some(slot) = outputs.get(i) {
-                        *lock(slot) = Some(r);
-                    }
-                })
-            })
-            .collect();
-        join_all(workers)
-    });
-    if panicked {
-        return Err(StatsError::WorkerPanicked(phase));
-    }
-    outputs
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .ok_or(StatsError::WorkerPanicked(phase))
-        })
-        .collect()
-}
-
-/// Locks a work slot. A slot's `Option` is whole whether or not a worker
-/// panicked while holding it, so poisoning is recovered from.
-fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
-    slot.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Joins every scoped worker and reports whether any panicked. Each one
-/// is joined: `std::thread::scope` re-raises the panic of a thread left
-/// unjoined.
-pub fn join_all(workers: Vec<std::thread::ScopedJoinHandle<'_, ()>>) -> bool {
-    workers
-        .into_iter()
-        .map(|w| w.join())
-        .filter(Result::is_err)
-        .count()
-        > 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,7 +454,7 @@ mod tests {
     /// byte-identical (via the canonical sorted binary codec) to the
     /// serial per-language build.
     fn assert_differential(corpus: &Corpus, languages: &[Language], config: &StatsConfig) {
-        let reference = collect_stats_reference(languages, corpus, config, 1).unwrap();
+        let reference = collect_stats_reference(languages, corpus, config);
         let expect: Vec<Vec<u8>> = reference.iter().map(stats_bytes).collect();
         for threads in [1, 2, 4, 8] {
             for lang_batch in [1, 3, 64] {
@@ -629,7 +529,7 @@ mod tests {
         let corpus = mixed_corpus();
         let langs = enumerate_coarse_languages();
         let config = StatsConfig::default();
-        let reference = collect_stats_reference(&langs, &corpus, &config, 1).unwrap();
+        let reference = collect_stats_reference(&langs, &corpus, &config);
         let opts = PipelineOptions {
             threads: 4,
             lang_batch: 1,
@@ -657,7 +557,7 @@ mod tests {
         let langs = enumerate_coarse_languages();
         let config = StatsConfig::default();
         let lang_batch = 4;
-        let reference = collect_stats_reference(&langs, &corpus, &config, 1).unwrap();
+        let reference = collect_stats_reference(&langs, &corpus, &config);
         let expect = reference
             .chunks(lang_batch)
             .map(|batch| batch.iter().map(|s| s.cooc_bytes() as u64).sum::<u64>())
@@ -944,22 +844,32 @@ mod tests {
     }
 
     /// A consumer runs on the task that accumulates its language, so its
-    /// panic surfaces as a typed error naming the accumulate phase.
+    /// panic surfaces as a typed error naming the accumulate phase, on
+    /// the serial path as on the threaded one.
     #[test]
     fn worker_panic_surfaces_as_error() {
         let corpus = mixed_corpus();
-        let mut pipe = TrainPipeline::new(&corpus, &[], &PipelineOptions::default()).unwrap();
         let langs = [Language::paper_l1(), Language::paper_l2()];
-        let err = pipe
-            .run(&langs, &StatsConfig::default(), |i, _, _| {
-                assert!(i < 10, "boom"); // never trips
-                if i == 1 {
-                    panic!("consume panic");
-                }
-                i
-            })
-            .unwrap_err();
-        assert_eq!(err, StatsError::WorkerPanicked("accumulate"));
+        for threads in [1, 2, 0] {
+            let opts = PipelineOptions {
+                threads,
+                ..PipelineOptions::default()
+            };
+            let mut pipe = TrainPipeline::new(&corpus, &[], &opts).unwrap();
+            let err = pipe
+                .run(&langs, &StatsConfig::default(), |i, _, _| {
+                    if i == 1 {
+                        panic!("consume panic");
+                    }
+                    i
+                })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                StatsError::WorkerPanicked("accumulate"),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
