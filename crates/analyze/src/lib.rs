@@ -104,8 +104,12 @@ pub fn classify(rel: &str) -> FileClass {
             || rel == "crates/core/src/ensemble.rs"
             || rel == "crates/core/src/online.rs"
             || rel == "crates/stats/src/build.rs"
+            || rel == "crates/stats/src/codec.rs"
+            || rel == "crates/stats/src/counts.rs"
+            || rel == "crates/stats/src/language_stats.rs"
             || rel == "crates/stats/src/pipeline.rs"
             || rel == "crates/stats/src/pool.rs"
+            || rel == "crates/stats/src/store.rs"
             || rel == "crates/patterns/src/classify.rs"
             || serve_handler,
         lock_scope: serve_src
@@ -115,6 +119,7 @@ pub fn classify(rel: &str) -> FileClass {
             || rel == "crates/patterns/src/pattern.rs"
             || rel == "crates/core/src/detector.rs"
             || rel == "crates/core/src/values.rs"
+            || rel == "crates/stats/src/counts.rs"
             || rel == "crates/stats/src/pipeline.rs",
         errorpath_scope: serve_handler || rel == "crates/core/src/online.rs",
     }

@@ -681,8 +681,11 @@ impl AutoDetect {
         }
 
         // Memo switch (see `MEMO_FREE_NUM`). The ratio is a pure function
-        // of the column's contents, so the switch — and with it every
-        // counter — is identical at any thread count.
+        // of the column's contents, so the switch, the kernel-choice
+        // counts and the findings are identical at any thread count. The
+        // split of `npmi_probes` vs `npmi_memo_hits` is not: which columns
+        // share a worker's warm memo depends on scheduling. Their sum is
+        // fixed.
         let min_groups = group_patterns.iter().map(Vec::len).min().unwrap_or(0);
         let memo_free = min_groups * MEMO_FREE_DEN >= d * MEMO_FREE_NUM;
         if memo_free {
@@ -693,8 +696,8 @@ impl AutoDetect {
 
         // Probe stage: one d′×d′ NPMI matrix per language over pattern
         // groups. Entries are bit-identical to the naive per-value
-        // matrix, memo or not: same `npmi_patterns` calls, and the
-        // diagonal 1.0 equals the identical-pattern early return.
+        // matrix, memo or not: each equals `npmi_patterns` of its pair,
+        // and the diagonal 1.0 equals the identical-pattern early return.
         let mut matrices: Vec<NpmiMatrix> = Vec::with_capacity(num_langs);
         for (k, l) in self.languages.iter().enumerate() {
             let memo = if memo_free {

@@ -9,7 +9,7 @@ use crate::selection::{greedy_select, CandidateSummary, SelectionResult};
 use crate::training::{build_training_set, TrainingSet};
 use adt_corpus::Corpus;
 use adt_patterns::PatternHash;
-use adt_stats::{LanguageStats, PipelineReport};
+use adt_stats::{LanguageCounts, LanguageStats, PipelineReport};
 use std::io;
 use std::path::Path;
 
@@ -87,19 +87,46 @@ impl<'t> InternedTrainingSet<'t> {
         &self.values
     }
 
-    /// Scores every example under `stats`, in example order: exactly
-    /// `stats.score_values(u, v, npmi)` per example, given
-    /// `hashes[i] == stats.pattern_of(values()[i])`, as the training
-    /// pipeline's probe hashes are.
+    /// Scores every example under `counts`, in example order: exactly
+    /// `npmi_patterns` of the two values' patterns per example, given
+    /// `hashes[i]` is the pattern hash of `values()[i]` under the counts'
+    /// language, as the training pipeline's probe hashes are.
+    ///
+    /// Examples share far fewer pattern pairs than they number (a
+    /// language's 40,000 examples hold about 11,000), so each distinct
+    /// pair is scored once, by dense pattern id, and its score copied to
+    /// every example that has it.
     pub(crate) fn scores_from_hashes(
         &self,
-        stats: &LanguageStats,
+        counts: &LanguageCounts,
         hashes: &[PatternHash],
         npmi: adt_stats::NpmiParams,
     ) -> Vec<f64> {
+        // Each distinct value's pattern id: the counts' own id for a
+        // pattern the corpus holds, and for one it lacks the next free id
+        // past them, so equal patterns share an id either way.
+        let counted = counts.distinct_patterns() as u32;
+        let mut unseen: adt_stats::FxHashMap<u64, u32> = adt_stats::FxHashMap::default();
+        let ids: Vec<u32> = hashes
+            .iter()
+            .map(|&h| {
+                counts.pattern_id(h).unwrap_or_else(|| {
+                    let next = counted + unseen.len() as u32;
+                    *unseen.entry(h.0).or_insert(next)
+                })
+            })
+            .collect();
+        let id = |value: u32| ids.get(value as usize).copied().unwrap_or_default();
+        let mut scored: adt_stats::FxHashMap<u64, f64> = adt_stats::FxHashMap::default();
         self.pairs
             .iter()
-            .map(|&(u, v)| stats.npmi_patterns(hashes[u as usize], hashes[v as usize], npmi))
+            .map(|&(u, v)| {
+                let (a, b) = (id(u), id(v));
+                let key = (u64::from(a.min(b)) << 32) | u64::from(a.max(b));
+                *scored
+                    .entry(key)
+                    .or_insert_with(|| counts.npmi_ids(a, b, npmi))
+            })
             .collect()
     }
 }
@@ -161,12 +188,12 @@ pub fn calibrate_candidates_with_report(
         interned.values(),
         &config.stats,
         &opts,
-        |_, stats, hashes| {
-            let scores = interned.scores_from_hashes(&stats, hashes, config.npmi);
+        |_, counts, hashes| {
+            let scores = interned.scores_from_hashes(&counts, hashes, config.npmi);
             let calibration = calibrate_language(training, &scores, config.precision_target, 256);
             CalibratedCandidate {
-                language: stats.language,
-                size_bytes: stats.size_bytes(),
+                language: counts.language,
+                size_bytes: counts.size_bytes(),
                 calibration,
             }
         },
@@ -219,7 +246,7 @@ pub fn select_and_assemble(
         &[],
         &config.stats,
         &opts,
-        |_, s, _| s,
+        |_, counts, _| counts.freeze(),
     )
     .map_err(AdtError::from)?;
 
@@ -570,14 +597,15 @@ mod tests {
             interned.values(),
             &cfg.stats,
             &opts,
-            |_, stats, hashes| {
-                let from_matrix = interned.scores_from_hashes(&stats, hashes, cfg.npmi);
+            |_, counts, hashes| {
+                let from_matrix = interned.scores_from_hashes(&counts, hashes, cfg.npmi);
+                let stats = counts.clone().freeze();
                 let hashes: Vec<PatternHash> = interned
                     .values()
                     .iter()
                     .map(|v| stats.pattern_of(v))
                     .collect();
-                let from_pattern_of = interned.scores_from_hashes(&stats, &hashes, cfg.npmi);
+                let from_pattern_of = interned.scores_from_hashes(&counts, &hashes, cfg.npmi);
                 let direct: Vec<f64> = training
                     .examples
                     .iter()

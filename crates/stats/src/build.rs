@@ -12,20 +12,22 @@
 //! language-major build survives, serial, as `collect_stats_reference`
 //! behind `cfg(test)` for differential tests.
 
+use crate::counts::LanguageCounts;
 use crate::language_stats::{LanguageStats, StatsConfig};
 use crate::pipeline::{PipelineOptions, PipelineReport, TrainPipeline};
 use crate::pool::StatsError;
 use adt_corpus::Corpus;
 use adt_patterns::{Language, PatternHash};
 
-/// Builds statistics for every language in `languages` over `corpus`
-/// through the pipeline, consuming each completed [`LanguageStats`] with
-/// `f(language_index, stats, probe_hashes)` on the worker that built it
-/// (`f` must be `Sync`). `probe_hashes` are the language's pattern
-/// hashes of `probes`, in order, read from the pipeline's hash matrix —
-/// equal to [`LanguageStats::pattern_of`] of each probe. The returned
-/// results are in input-language order alongside the pipeline's counter
-/// report.
+/// Counts every language in `languages` over `corpus` through the
+/// pipeline, consuming each language's finished [`LanguageCounts`] with
+/// `f(language_index, counts, probe_hashes)` on the worker that counted
+/// it (`f` must be `Sync`); a consumer that keeps statistics freezes
+/// them ([`LanguageCounts::freeze`]). `probe_hashes` are the language's
+/// pattern hashes of `probes`, in order, read from the pipeline's hash
+/// matrix — equal to [`LanguageStats::pattern_of`] of each probe. The
+/// returned results are in input-language order alongside the
+/// pipeline's counter report.
 pub fn for_each_language_stats<'c, R, F>(
     languages: &[Language],
     corpus: &'c Corpus,
@@ -36,7 +38,7 @@ pub fn for_each_language_stats<'c, R, F>(
 ) -> Result<(Vec<R>, PipelineReport), StatsError>
 where
     R: Send,
-    F: Fn(usize, LanguageStats, &[PatternHash]) -> R + Sync,
+    F: Fn(usize, LanguageCounts, &[PatternHash]) -> R + Sync,
 {
     let mut pipe = TrainPipeline::new(corpus, probes, opts)?;
     let out = pipe.run(languages, config, f)?;
@@ -56,7 +58,12 @@ pub fn collect_stats_for_languages(
         threads,
         ..PipelineOptions::default()
     };
-    Ok(for_each_language_stats(languages, corpus, &[], config, &opts, |_, s, _| s)?.0)
+    Ok(
+        for_each_language_stats(languages, corpus, &[], config, &opts, |_, counts, _| {
+            counts.freeze()
+        })?
+        .0,
+    )
 }
 
 /// The pre-pipeline language-major build: one full serial corpus scan
@@ -72,6 +79,47 @@ pub fn collect_stats_reference(
         .iter()
         .map(|&lang| LanguageStats::build(lang, corpus, config))
         .collect()
+}
+
+/// Value shapes the generated test corpora mix into WEB columns: shapes
+/// that share patterns under coarse languages and differ under fine
+/// ones, non-ASCII text and the empty value.
+#[cfg(test)]
+const EXTRA_SHAPES: [&str; 8] = [
+    "[0-9]{1,4}",
+    "[0-9]{1,2},[0-9]{3}",
+    "[12][0-9]{3}-[01][0-9]-[0-3][0-9]",
+    "[A-Z][a-z]{1,6}",
+    "[a-z]{1,5}",
+    "[A-Z]{2,3}-[0-9]{2}",
+    "[é日x]{1,3}",
+    "",
+];
+
+/// A generated corpus for differential tests: `web_columns` columns of a
+/// small WEB profile drawn from `seed` (2–12 values each, some dirty),
+/// then one column per entry of `extra`. Draw `extra` from
+/// [`extra_columns`].
+#[cfg(test)]
+pub(crate) fn generated_corpus(seed: u64, web_columns: usize, extra: &[Vec<String>]) -> Corpus {
+    use adt_corpus::{generate_corpus, Column, CorpusProfile, SourceTag};
+    let mut profile = CorpusProfile::web(web_columns);
+    profile.seed = seed;
+    profile.min_len = 2;
+    profile.max_len = 12;
+    profile.dirty_rate = 0.3;
+    let mut corpus = generate_corpus(&profile);
+    for values in extra {
+        corpus.push(Column::new(values.clone(), SourceTag::Web));
+    }
+    corpus
+}
+
+/// Up to five extra columns of [`EXTRA_SHAPES`] values for
+/// [`generated_corpus`], empty columns and empty values among them.
+#[cfg(test)]
+pub(crate) fn extra_columns(g: &mut adt_rng::check::Gen) -> Vec<Vec<String>> {
+    g.vec(0..6, |g| g.vec(0..14, |g| g.one_of(&EXTRA_SHAPES)))
 }
 
 #[cfg(test)]

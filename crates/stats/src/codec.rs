@@ -175,6 +175,7 @@ mod tests {
     use crate::store::SketchSpec;
     use adt_corpus::{Column, Corpus, SourceTag};
     use adt_patterns::Language;
+    use adt_rng::Rng;
     use adt_sketch::UpdateStrategy;
 
     fn sample_corpus() -> Corpus {
@@ -243,6 +244,70 @@ mod tests {
                     stats.score_values(u, v, params),
                     "{strategy:?}"
                 );
+            }
+        }
+    }
+
+    fn encode(stats: &LanguageStats) -> Vec<u8> {
+        let mut buf = Vec::new();
+        stats.write_binary(&mut buf).unwrap();
+        buf
+    }
+
+    adt_rng::properties! {
+        cases = 32;
+
+        /// Encode → decode → encode is the identity for statistics frozen
+        /// from generated corpora, exact and sketched under both update
+        /// strategies, and the decoded statistics score as the originals.
+        fn encode_decode_encode_is_identity(
+            g;
+            seed in g.random::<u64>(),
+            web_columns in g.random_range(0usize..40),
+            extra in crate::build::extra_columns(g),
+            language in g.random_range(0usize..36),
+            budget_bytes in g.random_range(64usize..8192),
+            depth in g.random_range(1usize..6),
+            sketch_seed in g.random::<u64>(),
+        ) {
+            let corpus = crate::build::generated_corpus(seed, web_columns, &extra);
+            let language = adt_patterns::enumerate_coarse_languages()[language];
+            let exact = LanguageStats::build(language, &corpus, &StatsConfig::default());
+            let mut variants = vec![exact.clone()];
+            for strategy in [UpdateStrategy::Plain, UpdateStrategy::Conservative] {
+                let mut sketched = exact.clone();
+                sketched.compress_cooccurrence(SketchSpec {
+                    budget_bytes,
+                    depth,
+                    strategy,
+                    seed: sketch_seed,
+                });
+                variants.push(sketched);
+            }
+            let params = crate::NpmiParams::default();
+            let values: Vec<&str> = corpus
+                .columns()
+                .iter()
+                .flat_map(|c| c.values.iter().map(String::as_str))
+                .take(40)
+                .collect();
+            for stats in &variants {
+                let bytes = encode(stats);
+                let back = LanguageStats::read_binary(&mut bytes.as_slice()).unwrap();
+                assert!(encode(&back) == bytes, "re-encoding changed the bytes");
+                assert_eq!(back.language, stats.language);
+                assert_eq!(back.n_columns, stats.n_columns);
+                assert_eq!(back.size_bytes(), stats.size_bytes());
+                assert_eq!(back.exact_cooc_entries(), stats.exact_cooc_entries());
+                for u in &values {
+                    for v in &values {
+                        assert_eq!(
+                            back.score_values(u, v, params).to_bits(),
+                            stats.score_values(u, v, params).to_bits(),
+                            "({u:?}, {v:?})"
+                        );
+                    }
+                }
             }
         }
     }

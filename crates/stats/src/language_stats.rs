@@ -1,5 +1,15 @@
 //! Per-language corpus statistics and NPMI scoring of value pairs.
+//!
+//! [`LanguageStats`] is the form statistics ship in: a model stores one
+//! per selected language, keyed by pattern hash, because a scan looks
+//! patterns up by hash and the `.bin` codec (`crate::codec`) decodes the
+//! sorted hash keys straight into these maps. Nothing counts into it.
+//! Training counts each candidate into a
+//! [`LanguageCounts`](crate::LanguageCounts), keyed by dense
+//! per-language ids, and freezes only the languages it keeps into this
+//! type ([`LanguageCounts::freeze`]).
 
+use crate::counts::LanguageCounts;
 use crate::fxhash::FxHashMap;
 use crate::memo::NpmiMemo;
 use crate::npmi::{npmi_from_counts, NpmiParams};
@@ -41,9 +51,7 @@ pub struct LanguageStats {
 }
 
 impl LanguageStats {
-    /// An empty exact statistics accumulator for `language`; the serial
-    /// scan ([`LanguageStats::build`]) and the training pipeline fill it
-    /// column by column.
+    /// Empty exact statistics for `language`.
     pub fn empty(language: Language) -> Self {
         LanguageStats {
             language,
@@ -53,72 +61,13 @@ impl LanguageStats {
         }
     }
 
-    /// Scans `corpus` and builds the exact statistics for `language` —
-    /// the serial per-language reference the training pipeline
-    /// (`crate::pipeline`) reproduces bit-for-bit at any thread count.
-    /// Compress afterwards with [`LanguageStats::compress_cooccurrence`].
+    /// Scans `corpus` serially and builds the exact statistics for
+    /// `language` ([`LanguageCounts::build`], frozen) — the per-language
+    /// reference the training pipeline (`crate::pipeline`) reproduces
+    /// bit for bit at any thread count. Compress afterwards with
+    /// [`LanguageStats::compress_cooccurrence`].
     pub fn build(language: Language, corpus: &Corpus, config: &StatsConfig) -> Self {
-        let mut stats = LanguageStats::empty(language);
-        // Memoize value -> pattern hash for this language; corpora repeat
-        // values heavily (years, placeholders, common words).
-        let mut memo: FxHashMap<&str, PatternHash> = FxHashMap::default();
-        let mut hashes: Vec<PatternHash> = Vec::new();
-        for col in corpus.columns() {
-            for v in col.distinct_values() {
-                if v.is_empty() {
-                    continue;
-                }
-                let h = *memo
-                    .entry(v)
-                    .or_insert_with(|| Pattern::hash_value(v, &language));
-                hashes.push(h);
-            }
-            stats.absorb_column_hashes(&mut hashes, config);
-        }
-        stats
-    }
-
-    /// The column-absorb tail shared by the per-language scan and the
-    /// pipeline: prepares the column
-    /// ([`prepare_column_hashes`]) and counts it
-    /// ([`LanguageStats::count_prepared_column`]). `hashes` holds one
-    /// entry per distinct non-empty value (duplicate pattern hashes
-    /// allowed) and is left cleared with its capacity intact so callers
-    /// can reuse the buffer across columns. Keeping these two steps on
-    /// one code path is what makes the per-language scan and the
-    /// pipeline provably identical per column.
-    pub(crate) fn absorb_column_hashes(
-        &mut self,
-        hashes: &mut Vec<PatternHash>,
-        config: &StatsConfig,
-    ) {
-        let kept = prepare_column_hashes(hashes, config);
-        hashes.truncate(kept);
-        self.count_prepared_column(hashes);
-        hashes.clear();
-    }
-
-    /// Counts one prepared column (the output of
-    /// [`prepare_column_hashes`]): the column, each pattern's occurrence
-    /// and each pattern pair's co-occurrence.
-    pub(crate) fn count_prepared_column(&mut self, prepared: &[PatternHash]) {
-        self.n_columns += 1;
-        for &h in prepared {
-            *self.occ.entry(h.0).or_insert(0) += 1;
-        }
-        for (i, &a) in prepared.iter().enumerate() {
-            for &b in prepared.get(i + 1..).unwrap_or_default() {
-                self.cooc.add_pair(a, b, 1);
-            }
-        }
-    }
-
-    /// Makes room for `pairs` more co-occurrence entries up front, so an
-    /// exact pair table never rehashes while it is counted; a no-op for
-    /// sketch backends. Capacity never changes a count or a byte of the
-    /// canonical encoding.
-    pub(crate) fn reserve_pairs(&mut self, pairs: usize) {
-        self.cooc.reserve(pairs);
+        LanguageCounts::build(language, corpus, config).freeze()
     }
 
     /// `c(p)` for a pattern hash.
@@ -152,8 +101,10 @@ impl LanguageStats {
 
     /// Batched NPMI over a set of *distinct* pattern hashes: the flattened
     /// symmetric `d′×d′` matrix with diagonal `1.0` (a pattern is always
-    /// compatible with itself), one [`LanguageStats::npmi_patterns`]
-    /// evaluation per off-diagonal pair.
+    /// compatible with itself), each off-diagonal entry equal bit for bit
+    /// to [`LanguageStats::npmi_patterns`] of its pair. Each pattern's
+    /// occurrence is looked up at most once per matrix, and an exact
+    /// table is not asked for a pair with a pattern it never counted.
     ///
     /// This is the pattern-group scoring kernel's probe stage: callers
     /// dedupe a column's values into distinct patterns first, so the
@@ -172,29 +123,59 @@ impl LanguageStats {
         let mut values = vec![1.0f64; dim * dim];
         let mut probes = 0u64;
         let mut memo_hits = 0u64;
-        for i in 0..dim {
-            for j in (i + 1)..dim {
-                let (a, b) = (patterns[i], patterns[j]);
-                let s = match memo.as_deref_mut() {
-                    Some(memo) => match memo.lookup(a, b) {
-                        Some(s) => {
-                            memo_hits += 1;
-                            s
-                        }
-                        None => {
-                            let s = self.npmi_patterns(a, b, params);
-                            memo.insert(a, b, s);
-                            probes += 1;
-                            s
-                        }
-                    },
+        // Each pattern's occurrence, looked up when a probe first needs
+        // it: at most once per matrix instead of twice per probed pair.
+        // Allocated on the first probe, so a matrix the memo answers
+        // whole allocates nothing for it.
+        let mut occ: Vec<Option<u64>> = Vec::new();
+        let mut occurrence = |i: usize, p: PatternHash| {
+            if occ.is_empty() {
+                occ.resize(dim, None);
+            }
+            match occ.get_mut(i) {
+                Some(Some(c)) => *c,
+                Some(slot) => *slot.insert(self.occurrence(p)),
+                None => self.occurrence(p),
+            }
+        };
+        let exact = matches!(self.cooc, CoocBackend::Exact(_));
+        for (i, &a) in patterns.iter().enumerate() {
+            for (j, &b) in patterns.iter().enumerate().skip(i + 1) {
+                let memoized = memo.as_deref_mut().and_then(|m| m.lookup(a, b));
+                let s = match memoized {
+                    Some(s) => {
+                        memo_hits += 1;
+                        s
+                    }
                     None => {
                         probes += 1;
-                        self.npmi_patterns(a, b, params)
+                        let s = if a == b {
+                            1.0
+                        } else {
+                            let (ca, cb) = (occurrence(i, a), occurrence(j, b));
+                            // An exact table holds pairs of counted
+                            // patterns only, so a pair with an unseen
+                            // pattern is 0 by construction; a sketch can
+                            // still estimate one above 0.
+                            let c12 = if exact && (ca == 0 || cb == 0) {
+                                0
+                            } else {
+                                self.cooc.get(a, b)
+                            };
+                            npmi_from_counts(ca, cb, c12, self.n_columns, params)
+                        };
+                        if let Some(m) = memo.as_deref_mut() {
+                            m.insert(a, b, s);
+                        }
+                        s
                     }
                 };
-                values[i * dim + j] = s;
-                values[j * dim + i] = s;
+                if let Some(v) = values.get_mut(i * dim + j) {
+                    *v = s;
+                }
+                if let Some(v) = values.get_mut(j * dim + i) {
+                    *v = s;
+                }
             }
         }
         NpmiMatrix {
@@ -276,37 +257,6 @@ impl LanguageStats {
     }
 }
 
-/// Prepares one column's pattern hashes in place for counting: sorts
-/// and dedups them, then keeps a deterministic strided subsample when
-/// more than `config.max_distinct_per_column` distinct patterns remain.
-/// Returns the prepared length; the prepared hashes are
-/// `hashes[..len]`, sorted and distinct.
-pub(crate) fn prepare_column_hashes(hashes: &mut [PatternHash], config: &StatsConfig) -> usize {
-    hashes.sort_unstable();
-    // Dedup the sorted slice in place.
-    let mut distinct = 0usize;
-    for i in 0..hashes.len() {
-        if distinct == 0 || hashes[i] != hashes[distinct - 1] {
-            hashes[distinct] = hashes[i];
-            distinct += 1;
-        }
-    }
-    // Deterministic subsample when a column has too many distinct
-    // patterns: keep a strided selection (compacted in place).
-    if distinct <= config.max_distinct_per_column {
-        return distinct;
-    }
-    let stride = distinct / config.max_distinct_per_column + 1;
-    let mut kept = 0usize;
-    let mut next = 0usize;
-    while next < distinct {
-        hashes[kept] = hashes[next];
-        kept += 1;
-        next += stride;
-    }
-    kept
-}
-
 /// Result of [`LanguageStats::npmi_matrix`]: the flattened symmetric
 /// score matrix plus the probe accounting that makes kernel wins
 /// observable.
@@ -323,10 +273,14 @@ pub struct NpmiMatrix {
 }
 
 impl NpmiMatrix {
-    /// The score at `(i, j)`.
+    /// The score at `(i, j)`; NaN, which compares false with every
+    /// threshold, outside the matrix.
     #[inline]
     pub fn at(&self, i: usize, j: usize) -> f64 {
-        self.values[i * self.dim + j]
+        self.values
+            .get(i * self.dim + j)
+            .copied()
+            .unwrap_or(f64::NAN)
     }
 }
 

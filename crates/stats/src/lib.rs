@@ -6,12 +6,17 @@
 //!   Jelinek–Mercer smoothing of rare co-occurrences (Equation 10);
 //! * [`store`] — the occurrence dictionary plus exchangeable co-occurrence
 //!   backends: an exact pair dictionary or a count-min sketch (§3.4);
-//! * [`language_stats`] — per-generalization-language statistics built by
-//!   scanning a corpus: `c(L(v))` = number of columns containing the
-//!   pattern, `c(L(v1), L(v2))` = number of columns containing both;
+//! * [`language_stats`] — per-generalization-language statistics as
+//!   models ship them, keyed by pattern hash: `c(L(v))` = number of
+//!   columns containing the pattern, `c(L(v1), L(v2))` = number of
+//!   columns containing both;
+//! * [`counts`] — [`LanguageCounts`], the accumulator training counts a
+//!   language into: patterns keyed by dense per-language ids, pairs by
+//!   two ids packed into one `u64`; it answers queries as the statistics
+//!   it freezes into ([`LanguageCounts::freeze`]) would;
 //! * [`pipeline`] — the corpus-major training pipeline: values are
 //!   interned once, generalized under whole language batches in one
-//!   traversal, and accumulated one task per language over every column
+//!   traversal, and counted one task per language over every column
 //!   in column order, with no merge (bit-identical to the serial scan).
 //!   Pair counts are always exact there; training compresses the
 //!   selected languages into count-min sketches at model assembly when
@@ -31,6 +36,7 @@
 
 pub mod build;
 pub mod codec;
+pub mod counts;
 pub mod fxhash;
 pub mod language_stats;
 pub mod memo;
@@ -41,6 +47,7 @@ pub mod profile;
 pub mod store;
 
 pub use build::{collect_stats_for_languages, for_each_language_stats};
+pub use counts::LanguageCounts;
 pub use fxhash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use language_stats::{LanguageStats, NpmiMatrix, StatsConfig};
 pub use memo::NpmiMemo;

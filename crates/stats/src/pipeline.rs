@@ -1,8 +1,8 @@
 //! One-pass training pipeline: value-interned, multi-language statistics
 //! construction with one worker per language.
 //!
-//! The per-language scan ([`LanguageStats::build`]) walks the whole corpus
-//! once *per candidate language* — 144 full passes for the paper's
+//! The per-language scan ([`LanguageCounts::build`]) walks the whole
+//! corpus once *per candidate language* — 144 full passes for the paper's
 //! restricted space, each re-deduplicating every column and re-hashing
 //! every value. This module inverts the loop to corpus-major order:
 //!
@@ -23,19 +23,24 @@
 //! 3. **Accumulate and consume** (once per language batch): one task per
 //!    batch language, claimed by workers from a shared cursor. A task
 //!    reads the language's column of the hash matrix and first
-//!    *prepares* every column (gather, sort, dedup, strided subsample)
-//!    into one flat buffer, summing `k(k−1)/2` over the prepared
-//!    columns; it then sizes the exact pair table once for that many
+//!    *prepares* every column (gather, sort, dedup, strided subsample:
+//!    [`prepare_column_hashes`], as the serial scan does) into one flat
+//!    buffer, summing `k(k−1)/2` over the prepared columns; it then sizes
+//!    the language's [`LanguageCounts`] pair table once for that many
 //!    pairs, so the table never rehashes while it grows, and *counts*
-//!    every column in column order. Both steps are the
-//!    [`LanguageStats::absorb_column_hashes`] tail the serial scan uses,
-//!    split in two. No language has a second accumulator, so there is no
-//!    merge phase, and the exact pair map is built in the serial build's
-//!    order: the result is **bit-identical** to the serial per-language
-//!    build at any thread count. The same task then hands the finished
-//!    statistics, with the language's hashes of the probes, straight to
-//!    the caller's consumer. Parallelism is capped at the batch size
-//!    (see [`PipelineOptions::lang_batch`]).
+//!    every column in column order, with the counting step the serial
+//!    scan ([`LanguageCounts::build`]) runs. The counts key each pattern
+//!    by a dense id and each pair by the two ids packed into one `u64`. No
+//!    language has a second accumulator, so there is no merge phase,
+//!    and the counts are built in the serial build's order: what they
+//!    freeze into is **bit-identical** to the serial per-language build
+//!    at any thread count. The same task then hands the finished
+//!    counts, with the language's hashes of the probes, straight to the
+//!    caller's consumer; a consumer that keeps statistics freezes them
+//!    into the shipped [`LanguageStats`](crate::LanguageStats)
+//!    ([`LanguageCounts::freeze`]), and one that only scores them
+//!    (training's calibration) never pays for that. Parallelism is
+//!    capped at the batch size (see [`PipelineOptions::lang_batch`]).
 //!
 //! Memory is bounded by `lang_batch` and `threads`: the hash matrix
 //! exists for one batch of languages at a time, and a consumer that
@@ -46,8 +51,9 @@
 //! (§3.4) happens later, at model assembly, for the selected languages
 //! only (`sketch_fraction` in training).
 
+use crate::counts::{prepare_column_hashes, LanguageCounts};
 use crate::fxhash::FxHashMap;
-use crate::language_stats::{prepare_column_hashes, LanguageStats, StatsConfig};
+use crate::language_stats::StatsConfig;
 use crate::pool::{join_all, parallel_map, resolve_threads, StatsError};
 use adt_corpus::Corpus;
 use adt_patterns::{Language, MultiGeneralizer, PatternHash};
@@ -280,8 +286,8 @@ impl<'c> TrainPipeline<'c> {
     }
 
     /// Runs every language in `languages` through the pipeline in batches
-    /// of [`TrainPipeline::lang_batch`], consuming each finished
-    /// [`LanguageStats`] with `f(global_index, stats, probe_hashes)`
+    /// of [`TrainPipeline::lang_batch`], consuming each language's
+    /// finished [`LanguageCounts`] with `f(global_index, counts, probe_hashes)`
     /// (indices into `languages`; `probe_hashes` are the language's
     /// pattern hashes of the probes, in probe order). Returns the results
     /// in input-language order.
@@ -293,7 +299,7 @@ impl<'c> TrainPipeline<'c> {
     ) -> Result<Vec<R>, StatsError>
     where
         R: Send,
-        F: Fn(usize, LanguageStats, &[PatternHash]) -> R + Sync,
+        F: Fn(usize, LanguageCounts, &[PatternHash]) -> R + Sync,
     {
         let mut out = Vec::with_capacity(languages.len());
         let batch_size = self.lang_batch;
@@ -306,7 +312,7 @@ impl<'c> TrainPipeline<'c> {
     /// Runs one batch of languages: fills the hash matrix (phase 2), then
     /// runs one task per language that accumulates it over every column
     /// and consumes the result with
-    /// `f(offset + batch_index, stats, probe_hashes)` (phase 3). Returns
+    /// `f(offset + batch_index, counts, probe_hashes)` (phase 3). Returns
     /// the results in batch order.
     pub fn run_batch<R, F>(
         &mut self,
@@ -317,7 +323,7 @@ impl<'c> TrainPipeline<'c> {
     ) -> Result<Vec<R>, StatsError>
     where
         R: Send,
-        F: Fn(usize, LanguageStats, &[PatternHash]) -> R + Sync,
+        F: Fn(usize, LanguageCounts, &[PatternHash]) -> R + Sync,
     {
         let k = batch.len();
         if k == 0 {
@@ -356,15 +362,15 @@ impl<'c> TrainPipeline<'c> {
         }
         self.report.generalize_nanos += t0.elapsed().as_nanos() as u64;
 
-        // Phase 3: one task per batch language. Each builds its
-        // language's accumulator over every column in column order — the
-        // order of the serial per-language build — so no second
-        // accumulator exists, nothing merges, and the result is
-        // byte-identical at any thread count. The task first prepares
-        // every column into one flat buffer, so it knows the pair count
-        // and sizes the exact pair table once, then counts, then hands
-        // the finished statistics straight to `f`: when `f` drops them,
-        // at most `min(threads, k)` accumulators are alive at once.
+        // Phase 3: one task per batch language. Each counts its
+        // language over every column in column order — the order of the
+        // serial per-language build — so no second accumulator exists,
+        // nothing merges, and the result is byte-identical at any thread
+        // count. The task first prepares every column into one flat
+        // buffer, so it knows the pair count and sizes the pair table
+        // once, then counts, then hands the finished counts straight to
+        // `f`: when `f` drops them, at most `min(threads, k)`
+        // accumulators are alive at once.
         let t1 = clock();
         let consume_nanos = AtomicU64::new(0);
         let done = {
@@ -375,13 +381,12 @@ impl<'c> TrainPipeline<'c> {
             let consume_nanos = &consume_nanos;
             parallel_map(batch, self.threads, "accumulate", |j, &language| {
                 let hash = |id: u32| matrix.get(id as usize * k + j).copied();
-                let mut stats = LanguageStats::empty(language);
-                accumulate_columns(&mut stats, hash, col_offsets, col_ids, config);
-                let cooc_bytes = stats.cooc_bytes() as u64;
+                let counts = accumulate_columns(language, hash, col_offsets, col_ids, config);
+                let cooc_bytes = counts.cooc_bytes() as u64;
                 let probe_hashes: Vec<PatternHash> =
                     probe_ids.iter().filter_map(|&id| hash(id)).collect();
                 let t = clock();
-                let r = f(offset + j, stats, &probe_hashes);
+                let r = f(offset + j, counts, &probe_hashes);
                 consume_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 (r, cooc_bytes)
             })?
@@ -403,18 +408,18 @@ impl<'c> TrainPipeline<'c> {
     }
 }
 
-/// Accumulates every column into `stats`, with `hash` giving a value
-/// id's pattern hash under the language. Every column is prepared first,
-/// into one flat buffer, so the exact pair table can be sized once for
-/// the prepared columns' pairs; then the columns are counted in column
-/// order, as the serial scan counts them.
+/// Counts every column under `language`, with `hash` giving a value
+/// id's pattern hash under it. Every column is prepared first, into one
+/// flat buffer, so the pair table can be sized once for the prepared
+/// columns' pairs; then the columns are counted in column order, as the
+/// serial scan ([`LanguageCounts::build`]) counts them.
 fn accumulate_columns(
-    stats: &mut LanguageStats,
+    language: Language,
     hash: impl Fn(u32) -> Option<PatternHash>,
     col_offsets: &[usize],
     col_ids: &[u32],
     config: &StatsConfig,
-) {
+) -> LanguageCounts {
     let mut prepared: Vec<PatternHash> = Vec::with_capacity(col_ids.len());
     let mut ends: Vec<usize> = Vec::with_capacity(col_offsets.len());
     let mut pairs = 0usize;
@@ -427,27 +432,48 @@ fn accumulate_columns(
         pairs = pairs.saturating_add(kept * kept.saturating_sub(1) / 2);
         ends.push(prepared.len());
     }
-    stats.reserve_pairs(pairs);
+    let mut counts = LanguageCounts::new(language);
+    counts.reserve_pairs(pairs);
     // Empty columns still count: each has an end, so it is counted with
     // no patterns, exactly like the serial scan.
     let mut start = 0usize;
     for &end in &ends {
-        stats.count_prepared_column(prepared.get(start..end).unwrap_or_default());
+        counts.count_column(prepared.get(start..end).unwrap_or_default());
         start = end;
     }
+    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::collect_stats_reference;
+    use crate::language_stats::LanguageStats;
     use adt_corpus::{Column, SourceTag};
     use adt_patterns::{enumerate_coarse_languages, enumerate_restricted_languages};
 
-    fn stats_bytes(s: &LanguageStats) -> Vec<u8> {
-        let mut buf = Vec::new();
-        s.write_binary(&mut buf).expect("in-memory write");
-        buf
+    /// The canonical `.bin` encoding of shipped statistics, or of
+    /// pipeline counts as they freeze.
+    trait Encode {
+        fn stats_bytes(&self) -> Vec<u8>;
+    }
+
+    impl Encode for LanguageStats {
+        fn stats_bytes(&self) -> Vec<u8> {
+            let mut buf = Vec::new();
+            self.write_binary(&mut buf).expect("in-memory write");
+            buf
+        }
+    }
+
+    impl Encode for LanguageCounts {
+        fn stats_bytes(&self) -> Vec<u8> {
+            self.clone().freeze().stats_bytes()
+        }
+    }
+
+    fn stats_bytes(s: &impl Encode) -> Vec<u8> {
+        s.stats_bytes()
     }
 
     /// Pipeline output at several thread counts and batch sizes must be

@@ -48,27 +48,6 @@ impl CoocBackend {
         CoocBackend::Exact(FxHashMap::default())
     }
 
-    /// Increments the count of the unordered pair `(a, b)`.
-    pub fn add_pair(&mut self, a: PatternHash, b: PatternHash, count: u32) {
-        let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        match self {
-            CoocBackend::Exact(map) => {
-                *map.entry((lo, hi)).or_insert(0) += count;
-            }
-            CoocBackend::Sketch(cms) => {
-                cms.add(adt_sketch::hashing::pair_key(lo, hi), count);
-            }
-        }
-    }
-
-    /// Reserves room for `additional` more exact entries (no-op for a
-    /// sketch, whose table never grows).
-    pub fn reserve(&mut self, additional: usize) {
-        if let CoocBackend::Exact(map) = self {
-            map.reserve(additional);
-        }
-    }
-
     /// Count estimate for the unordered pair `(a, b)`.
     ///
     /// Exact backends return the true count; sketch backends may
@@ -138,11 +117,19 @@ mod tests {
         PatternHash(x)
     }
 
+    /// An exact backend holding `pairs`, each unordered pair's counts
+    /// summed, inserted in the order given.
+    fn exact_of(pairs: impl IntoIterator<Item = (u64, u64, u32)>) -> CoocBackend {
+        let mut map: FxHashMap<(u64, u64), u32> = FxHashMap::default();
+        for (a, b, count) in pairs {
+            *map.entry((a.min(b), a.max(b))).or_insert(0) += count;
+        }
+        CoocBackend::Exact(map)
+    }
+
     #[test]
     fn exact_pair_counts_symmetric() {
-        let mut c = CoocBackend::exact();
-        c.add_pair(h(5), h(9), 2);
-        c.add_pair(h(9), h(5), 3);
+        let c = exact_of([(5, 9, 2), (9, 5, 3)]);
         assert_eq!(c.get(h(5), h(9)), 5);
         assert_eq!(c.get(h(9), h(5)), 5);
         assert_eq!(c.get(h(5), h(6)), 0);
@@ -151,25 +138,20 @@ mod tests {
 
     #[test]
     fn sketch_pair_counts_never_undercount() {
-        let mut c = CoocBackend::exact().to_sketch(SketchSpec {
+        let c = exact_of((0..500u64).map(|i| (i, i + 1, 1))).to_sketch(SketchSpec {
             budget_bytes: 1 << 16,
             ..SketchSpec::default()
         });
         for i in 0..500u64 {
-            c.add_pair(h(i), h(i + 1), 1);
-        }
-        for i in 0..500u64 {
             assert!(c.get(h(i), h(i + 1)) >= 1);
+            assert!(c.get(h(i + 1), h(i)) >= 1);
         }
         assert_eq!(c.exact_entries(), None);
     }
 
     #[test]
     fn exact_to_sketch_preserves_lower_bounds() {
-        let mut exact = CoocBackend::exact();
-        for i in 0..200u64 {
-            exact.add_pair(h(i), h(i * 7 + 1), (i % 5 + 1) as u32);
-        }
+        let exact = exact_of((0..200u64).map(|i| (i, i * 7 + 1, (i % 5 + 1) as u32)));
         let sk = exact.to_sketch(SketchSpec {
             budget_bytes: 1 << 18,
             ..SketchSpec::default()
@@ -188,14 +170,9 @@ mod tests {
             budget_bytes: 1 << 10,
             ..SketchSpec::default()
         };
-        let mut fwd = CoocBackend::exact();
-        let mut rev = CoocBackend::exact();
-        for i in 0..300u64 {
-            fwd.add_pair(h(i), h(i * 3 + 1), (i % 4 + 1) as u32);
-        }
-        for i in (0..300u64).rev() {
-            rev.add_pair(h(i), h(i * 3 + 1), (i % 4 + 1) as u32);
-        }
+        let entry = |i: u64| (i, i * 3 + 1, (i % 4 + 1) as u32);
+        let fwd = exact_of((0..300u64).map(entry));
+        let rev = exact_of((0..300u64).rev().map(entry));
         let (a, b) = (fwd.to_sketch(spec), rev.to_sketch(spec));
         match (a, b) {
             (CoocBackend::Sketch(sa), CoocBackend::Sketch(sb)) => {
@@ -208,10 +185,8 @@ mod tests {
 
     #[test]
     fn bytes_accounting() {
-        let mut exact = CoocBackend::exact();
-        assert_eq!(exact.bytes(), 0);
-        exact.add_pair(h(1), h(2), 1);
-        exact.add_pair(h(1), h(3), 1);
+        assert_eq!(CoocBackend::exact().bytes(), 0);
+        let exact = exact_of([(1, 2, 1), (1, 3, 1)]);
         assert_eq!(exact.bytes(), 2 * COOC_ENTRY_BYTES);
 
         let sk = CoocBackend::exact().to_sketch(SketchSpec {

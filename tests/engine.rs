@@ -71,6 +71,29 @@ fn findings_identical_across_thread_counts() {
     );
 }
 
+/// Which columns share a worker's warm NPMI memo depends on scheduling,
+/// so above one thread the split between fresh probes and memo hits can
+/// differ from run to run. The findings and the number of pair scores
+/// the probe stage answers (probes + memo hits) cannot.
+#[test]
+fn probe_stage_total_is_thread_independent() {
+    let columns = dirty_columns(60);
+    let engine = ScanEngine::from_model(model().clone());
+    let one = engine
+        .clone()
+        .with_threads(1)
+        .scan_columns(&columns)
+        .unwrap();
+    let four = engine.with_threads(4).scan_columns(&columns).unwrap();
+    assert_eq!(repr(&one), repr(&four));
+    let answered = |r: &ScanReport| r.stats.npmi_probes + r.stats.npmi_memo_hits;
+    assert_eq!(answered(&one), answered(&four));
+    assert!(
+        one.stats.npmi_memo_hits > 0,
+        "the table never reached the memo"
+    );
+}
+
 #[test]
 fn streamed_csv_matches_in_memory() {
     let columns = dirty_columns(40);
