@@ -308,9 +308,11 @@ pub struct ScanStats {
     /// Pairs skipped by the distinct-value cap (rare tail values beyond
     /// `max_distinct_values` never enter the d×d matrices).
     pub pairs_pruned: u64,
-    /// NPMI scores actually computed from count probes. The group kernel
-    /// needs at most `K·C(d′,2)` of these per column versus the naive
-    /// `K·C(d,2)`; the memo reduces it further.
+    /// Pattern pairs resolved without the memo (each probes the counts;
+    /// pairs of rare, never co-occurring patterns share one NPMI
+    /// evaluation per matrix). The group kernel needs at most `K·C(d′,2)`
+    /// of these per column versus the naive `K·C(d,2)`; the memo reduces
+    /// it further.
     pub npmi_probes: u64,
     /// NPMI scores answered from the per-worker pair-score memo.
     pub npmi_memo_hits: u64,
@@ -419,6 +421,68 @@ struct BestFinding {
     witness: usize,
     k: usize,
     score: f64,
+}
+
+/// [`Calibration::precision_at`] evaluated once per distinct score. On a
+/// dense column nearly every pair of a language shares one score (the
+/// unseen-pair constant of [`LanguageStats::npmi_matrix`]), so pass 1
+/// would otherwise repeat one curve search per flagged pair.
+struct PrecisionMemo<'a> {
+    calibration: &'a Calibration,
+    by_score: FxHashMap<u64, f64>,
+}
+
+impl<'a> PrecisionMemo<'a> {
+    fn new(calibration: &'a Calibration) -> Self {
+        PrecisionMemo {
+            calibration,
+            by_score: FxHashMap::default(),
+        }
+    }
+
+    fn at(&mut self, s: f64) -> f64 {
+        let calibration = self.calibration;
+        *self
+            .by_score
+            .entry(s.to_bits())
+            .or_insert_with(|| calibration.precision_at(s))
+    }
+}
+
+/// A `K·d` memo of one figure per (language, value) for pass 2's
+/// tie-breaks, allocated on first use, so a column without degree ties
+/// allocates nothing for it.
+struct LanguageValueMemo<T> {
+    values: usize,
+    slots: Vec<Option<T>>,
+    len: usize,
+}
+
+impl<T: Copy> LanguageValueMemo<T> {
+    fn new(languages: usize, values: usize) -> Self {
+        LanguageValueMemo {
+            values,
+            slots: Vec::new(),
+            len: languages.saturating_mul(values),
+        }
+    }
+
+    /// The figure for value `i` under language `k`, computed by `f` on
+    /// the first request (and on every request outside the `K·d` table).
+    fn get_or_insert_with(&mut self, k: usize, i: usize, f: impl FnOnce() -> T) -> T {
+        if self.slots.is_empty() {
+            self.slots.resize(self.len, None);
+        }
+        let slot = k
+            .checked_mul(self.values)
+            .and_then(|row| row.checked_add(i))
+            .and_then(|at| self.slots.get_mut(at));
+        match slot {
+            Some(Some(v)) => *v,
+            Some(slot) => *slot.insert(f()),
+            None => f(),
+        }
+    }
 }
 
 impl AutoDetect {
@@ -714,21 +778,34 @@ impl AutoDetect {
         // Joint groups: values equivalent under *every* language form one
         // equivalence class (successive partition refinement); flagging,
         // confidence, k* and score are pure functions of the class pair.
-        let mut joint_of: Vec<u32> = vec![0; d];
-        let mut n_joint = 1usize;
-        for of in &group_of {
-            let mut remap: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-            let mut next = 0u32;
-            for i in 0..d {
-                let id = *remap.entry((joint_of[i], of[i])).or_insert_with(|| {
-                    let id = next;
-                    next += 1;
-                    id
-                });
-                joint_of[i] = id;
+        // A language that keeps every value distinct already is that
+        // partition (its first-seen ids are `0..d`), so a dense column
+        // skips the refinement.
+        let (joint_of, n_joint) = match group_of
+            .iter()
+            .zip(&group_patterns)
+            .find(|(_, pats)| pats.len() == d)
+        {
+            Some((of, _)) => (of.clone(), d),
+            None => {
+                let mut joint_of: Vec<u32> = vec![0; d];
+                let mut n_joint = 1usize;
+                for of in &group_of {
+                    let mut remap: FxHashMap<(u32, u32), u32> = FxHashMap::default();
+                    let mut next = 0u32;
+                    for i in 0..d {
+                        let id = *remap.entry((joint_of[i], of[i])).or_insert_with(|| {
+                            let id = next;
+                            next += 1;
+                            id
+                        });
+                        joint_of[i] = id;
+                    }
+                    n_joint = next as usize;
+                }
+                (joint_of, n_joint)
             }
-            n_joint = next as usize;
-        }
+        };
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_joint];
         for (i, &jg) in joint_of.iter().enumerate() {
             members[jg as usize].push(i);
@@ -752,42 +829,83 @@ impl AutoDetect {
         // representable), so group-order accumulation is bit-identical to
         // the naive per-pair loop.
         let mut scores = vec![0.0f64; num_langs];
+        let mut precision: Vec<PrecisionMemo> = calibrations
+            .iter()
+            .copied()
+            .map(PrecisionMemo::new)
+            .collect();
+        // A flagged pair's confidence, k* and reported score.
+        let mut verdict_of = |scores: &[f64]| -> (f64, usize, f64) {
+            let confidence = match aggregator {
+                // `Aggregator::suspicion`'s fold, over memoized P_k(s).
+                Aggregator::AutoDetect => scores
+                    .iter()
+                    .zip(&mut precision)
+                    .map(|(&s, p)| p.at(s))
+                    .fold(0.0, f64::max),
+                _ => aggregator.suspicion(scores, &calibrations),
+            };
+            let k = scores
+                .iter()
+                .enumerate()
+                .min_by(|x, y| x.1.total_cmp(y.1))
+                .map(|(k, _)| k)
+                .unwrap_or(0);
+            let min_firing_score = scores
+                .iter()
+                .zip(calibrations.iter().copied())
+                .filter(|(&s, c)| c.fires(s))
+                .map(|(&s, _)| s)
+                .fold(f64::INFINITY, f64::min);
+            let score = if min_firing_score.is_finite() {
+                min_firing_score
+            } else {
+                scores.iter().copied().fold(f64::INFINITY, f64::min)
+            };
+            (confidence, k, score)
+        };
+        // The verdict is a pure function of the scores, so a class pair
+        // whose scores repeat the last evaluated pair's bit for bit takes
+        // its verdict: on a dense column most consecutive pairs share the
+        // unseen-pair score under every language.
+        let mut last_bits: Vec<u64> = vec![0; num_langs];
+        let mut last_verdict: Option<Option<(f64, usize, f64)>> = None;
         let mut flagged: Vec<FlaggedClassPair> = Vec::new();
         let mut class_degree = vec![0.0f64; n_joint];
         for a in 0..n_joint {
             for b in a..n_joint {
-                if a == b {
+                let verdict = if a == b {
                     if !intra_flags || members[a].len() < 2 {
                         continue;
                     }
                     scores.iter_mut().for_each(|s| *s = 1.0);
+                    verdict_of(&scores)
                 } else {
                     let (ra, rb) = (members[a][0], members[b][0]);
                     for (k, m) in matrices.iter().enumerate() {
                         scores[k] = m.at(group_of[k][ra] as usize, group_of[k][rb] as usize);
                     }
-                    if !aggregator.flags(&scores, &calibrations) {
-                        continue;
+                    let repeat = last_verdict.is_some()
+                        && scores
+                            .iter()
+                            .zip(&last_bits)
+                            .all(|(s, &bits)| s.to_bits() == bits);
+                    if !repeat {
+                        last_verdict = Some(
+                            aggregator
+                                .flags(&scores, &calibrations)
+                                .then(|| verdict_of(&scores)),
+                        );
+                        for (bits, s) in last_bits.iter_mut().zip(&scores) {
+                            *bits = s.to_bits();
+                        }
                     }
-                }
-                let confidence = aggregator.suspicion(&scores, &calibrations);
-                let k = scores
-                    .iter()
-                    .enumerate()
-                    .min_by(|x, y| x.1.total_cmp(y.1))
-                    .map(|(k, _)| k)
-                    .unwrap_or(0);
-                let min_firing_score = scores
-                    .iter()
-                    .zip(calibrations.iter().copied())
-                    .filter(|(&s, c)| c.fires(s))
-                    .map(|(&s, _)| s)
-                    .fold(f64::INFINITY, f64::min);
-                let score = if min_firing_score.is_finite() {
-                    min_firing_score
-                } else {
-                    scores.iter().copied().fold(f64::INFINITY, f64::min)
+                    match last_verdict.flatten() {
+                        Some(v) => v,
+                        None => continue,
+                    }
                 };
+                let (confidence, k, score) = verdict;
                 if a == b {
                     let n = members[a].len();
                     stats.pairs_flagged += (n * (n - 1) / 2) as u64;
@@ -828,8 +946,8 @@ impl AutoDetect {
         // language, then corpus occurrence (the globally rarer pattern is
         // the likelier intruder). Compatibility is computed lazily in the
         // naive summation order so even its f64 rounding matches.
-        let mut best: FxHashMap<usize, BestFinding> = FxHashMap::default();
-        let consider = |best: &mut FxHashMap<usize, BestFinding>,
+        let mut best: Vec<Option<BestFinding>> = std::iter::repeat_with(|| None).take(d).collect();
+        let consider = |best: &mut [Option<BestFinding>],
                         suspect: usize,
                         witness: usize,
                         confidence: f64,
@@ -841,28 +959,27 @@ impl AutoDetect {
                 (witness, suspect)
             };
             let enum_key = (u * d + v) as u64;
-            match best.get(&suspect) {
+            let Some(slot) = best.get_mut(suspect) else {
+                return;
+            };
+            match slot {
                 Some(prev)
                     if prev.confidence > confidence
                         || (prev.confidence == confidence && prev.enum_key <= enum_key) => {}
                 _ => {
-                    best.insert(
-                        suspect,
-                        BestFinding {
-                            confidence,
-                            enum_key,
-                            witness,
-                            k,
-                            score,
-                        },
-                    );
+                    *slot = Some(BestFinding {
+                        confidence,
+                        enum_key,
+                        witness,
+                        k,
+                        score,
+                    });
                 }
             }
         };
-        let mut compat_memo: FxHashMap<(u32, u32), f64> = FxHashMap::default();
-        let compat_at = |memo: &mut FxHashMap<(u32, u32), f64>, k: usize, i: usize| -> f64 {
-            // adt-allow(unchecked-arithmetic): k ≤ selected languages (≤144) and i < d′ distinct patterns; both fit u32 with room to spare
-            *memo.entry((k as u32, i as u32)).or_insert_with(|| {
+        let mut compat_memo: LanguageValueMemo<f64> = LanguageValueMemo::new(num_langs, d);
+        let compat_at = |memo: &mut LanguageValueMemo<f64>, k: usize, i: usize| -> f64 {
+            memo.get_or_insert_with(k, i, || {
                 let m = &matrices[k];
                 let gi = group_of[k][i] as usize;
                 let mut sum = 0.0;
@@ -879,6 +996,10 @@ impl AutoDetect {
                     1.0
                 }
             })
+        };
+        let mut occurrence_memo: LanguageValueMemo<u64> = LanguageValueMemo::new(num_langs, d);
+        let occurrence_at = |memo: &mut LanguageValueMemo<u64>, k: usize, i: usize| -> u64 {
+            memo.get_or_insert_with(k, i, || self.languages[k].stats.occurrence(hashes[k][i]))
         };
         for f in &flagged {
             if f.a != f.b && !intra_flags {
@@ -919,8 +1040,8 @@ impl AutoDetect {
                                 (j, i)
                             }
                         } else {
-                            let oi = self.languages[f.k].stats.occurrence(hashes[f.k][i]);
-                            let oj = self.languages[f.k].stats.occurrence(hashes[f.k][j]);
+                            let oi = occurrence_at(&mut occurrence_memo, f.k, i);
+                            let oj = occurrence_at(&mut occurrence_memo, f.k, j);
                             if oi <= oj {
                                 (i, j)
                             } else {
@@ -932,8 +1053,11 @@ impl AutoDetect {
                 }
             }
         }
-        let mut findings: Vec<ColumnFinding> = Vec::with_capacity(best.len());
-        for (suspect_idx, bf) in best {
+        let mut findings: Vec<ColumnFinding> = Vec::new();
+        for (suspect_idx, bf) in best.into_iter().enumerate() {
+            let Some(bf) = bf else {
+                continue;
+            };
             stats.findings_per_language[bf.k] += 1;
             findings.push(ColumnFinding {
                 suspect: distinct[suspect_idx].0.to_string(),

@@ -11,7 +11,7 @@
 
 use crate::aggregate::Aggregator;
 use crate::detector::testkit::tiny_model;
-use crate::detector::{AutoDetect, PatternCache, ScanStats};
+use crate::detector::{AutoDetect, KernelChoices, PatternCache, ScanStats};
 use adt_rng::rngs::StdRng;
 use adt_rng::{Rng, SeedableRng};
 
@@ -506,4 +506,116 @@ fn duplicate_heavy_columns_collapse_probes() {
         group.npmi_probes,
         reference.npmi_probes
     );
+}
+
+/// Separators between the words of a free-text value.
+const SEPARATORS: [&str; 7] = [" ", ", ", "; ", " - ", ": ", ". ", " / "];
+
+/// A word of 1–9 characters, mostly lower-case, sometimes capitalized or
+/// with a digit.
+fn word(rng: &mut StdRng) -> String {
+    let len = 1 + rng.random_range(0..9u32);
+    (0..len)
+        .map(|i| match rng.random_range(0..12u32) {
+            0 => char::from(b'0' + rng.random_range(0..10u32) as u8),
+            1 if i == 0 => char::from(b'A' + rng.random_range(0..26u32) as u8),
+            _ => char::from(b'a' + rng.random_range(0..26u32) as u8),
+        })
+        .collect()
+}
+
+/// A free-text column of `d` distinct values of 20–300 characters (words
+/// joined by varied punctuation, cut to a drawn length), one of them
+/// replaced by a structured intruder.
+fn free_text_column(rng: &mut StdRng, d: usize) -> Vec<(String, usize)> {
+    const INTRUDERS: [&str; 4] = ["2011-01-01", "1,000", "2014/04/04", "1977"];
+    let mut values: Vec<String> = Vec::new();
+    while values.len() < d {
+        let len = rng.random_range(20..=300usize);
+        let mut v = word(rng);
+        while v.len() < len {
+            v.push_str(SEPARATORS[rng.random_range(0..SEPARATORS.len())]);
+            v.push_str(&word(rng));
+        }
+        v.truncate(len);
+        if !values.contains(&v) {
+            values.push(v);
+        }
+    }
+    let row = rng.random_range(0..d);
+    values[row] = INTRUDERS[rng.random_range(0..INTRUDERS.len())].to_string();
+    values.into_iter().map(|v| (v, 1)).collect()
+}
+
+#[test]
+fn free_text_columns_match_reference_under_every_aggregator() {
+    // The dense free-text shape: every value is its own pattern group
+    // under every language and almost no pattern was ever counted, so
+    // nearly every pair scores the shared unseen-pair NPMI. The raised
+    // thresholds make that score fire under both languages: nearly every
+    // pair flags, every count is 1 and every flag degree ties, so each
+    // pair goes through the compatibility and occurrence tie-breaks.
+    let mut exact = tiny_model();
+    for l in &mut exact.languages {
+        l.calibration.theta = Some(-0.1);
+    }
+    let mut sketched = exact.clone();
+    for l in &mut sketched.languages {
+        l.stats.compress_cooccurrence(adt_stats::SketchSpec {
+            budget_bytes: 1 << 14,
+            ..adt_stats::SketchSpec::default()
+        });
+    }
+    for (backend, model) in [("exact", &exact), ("sketched", &sketched)] {
+        for (ai, aggregator) in [
+            Aggregator::AutoDetect,
+            Aggregator::AvgNpmi,
+            Aggregator::MinNpmi,
+            Aggregator::MajorityVote,
+            Aggregator::WeightedMajorityVote,
+            Aggregator::BestOne(0),
+            Aggregator::BestOne(1),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut rng = StdRng::seed_from_u64(0xAD7_0300 + ai as u64);
+            let mut warm = PatternCache::new();
+            for case in 0..4 {
+                let d = 20 + rng.random_range(0..21u32) as usize;
+                let counts = free_text_column(&mut rng, d);
+                let ctx = format!("free text, {backend}, {aggregator:?}, case {case} (d={d})");
+                assert_kernels_agree(model, &counts, aggregator, &mut warm, &ctx);
+                let (_, got) =
+                    model.scan_value_counts(&counts, aggregator, &mut PatternCache::new());
+                let (_, want) = model.scan_value_counts_reference(
+                    &counts,
+                    aggregator,
+                    &mut PatternCache::new(),
+                );
+                assert_eq!(got.groups_per_language, vec![d as u64; 2], "{ctx}");
+                // The reference kernel has no memo switch and leaves
+                // `kernel_choices` zero; the kernel must take its dense side.
+                assert_eq!(
+                    got.kernel_choices,
+                    KernelChoices {
+                        group: 0,
+                        direct: 1
+                    },
+                    "{ctx}"
+                );
+                assert_eq!(
+                    got.npmi_probes + got.npmi_memo_hits,
+                    want.npmi_probes,
+                    "{ctx}"
+                );
+                assert!(
+                    got.pairs_flagged * 10 >= got.pairs_scored * 9,
+                    "{ctx}: only {} of {} pairs flagged",
+                    got.pairs_flagged,
+                    got.pairs_scored
+                );
+            }
+        }
+    }
 }

@@ -103,8 +103,10 @@ impl LanguageStats {
     /// symmetric `d′×d′` matrix with diagonal `1.0` (a pattern is always
     /// compatible with itself), each off-diagonal entry equal bit for bit
     /// to [`LanguageStats::npmi_patterns`] of its pair. Each pattern's
-    /// occurrence is looked up at most once per matrix, and an exact
-    /// table is not asked for a pair with a pattern it never counted.
+    /// occurrence is looked up at most once per matrix, an exact table is
+    /// not asked for a pair with a pattern it never counted, and the one
+    /// score every never-co-occurring pair of rare patterns shares is
+    /// computed once per matrix.
     ///
     /// This is the pattern-group scoring kernel's probe stage: callers
     /// dedupe a column's values into distinct patterns first, so the
@@ -139,6 +141,11 @@ impl LanguageStats {
             }
         };
         let exact = matches!(self.cooc, CoocBackend::Exact(_));
+        // `npmi_from_counts` floors both counts at 1, so every probe with
+        // `c12 == 0` and both counts at most 1 scores the same: computed
+        // on the first such probe, reused by the rest. On a dense column
+        // of patterns the corpus never saw, that is nearly every probe.
+        let mut unseen_pair: Option<f64> = None;
         for (i, &a) in patterns.iter().enumerate() {
             for (j, &b) in patterns.iter().enumerate().skip(i + 1) {
                 let memoized = memo.as_deref_mut().and_then(|m| m.lookup(a, b));
@@ -162,7 +169,13 @@ impl LanguageStats {
                             } else {
                                 self.cooc.get(a, b)
                             };
-                            npmi_from_counts(ca, cb, c12, self.n_columns, params)
+                            if c12 == 0 && ca <= 1 && cb <= 1 {
+                                *unseen_pair.get_or_insert_with(|| {
+                                    npmi_from_counts(ca, cb, 0, self.n_columns, params)
+                                })
+                            } else {
+                                npmi_from_counts(ca, cb, c12, self.n_columns, params)
+                            }
                         };
                         if let Some(m) = memo.as_deref_mut() {
                             m.insert(a, b, s);
@@ -266,7 +279,9 @@ pub struct NpmiMatrix {
     pub dim: usize,
     /// Flattened row-major `dim×dim` scores; symmetric, diagonal `1.0`.
     pub values: Vec<f64>,
-    /// Fresh NPMI evaluations performed (occ/cooc probes + arithmetic).
+    /// Pairs resolved without the memo: `C(dim, 2) − memo_hits`. Each
+    /// probes the counts; the NPMI arithmetic may be shared (see
+    /// [`LanguageStats::npmi_matrix`]).
     pub probes: u64,
     /// Entries served from the memo without recomputation.
     pub memo_hits: u64,
@@ -464,6 +479,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn npmi_matrix_equals_pairwise_scores_bit_for_bit_on_unseen_patterns() {
+        // `a*` occur in one column each, `b*` in ten, `shared` in all 30;
+        // `c0` and `c1` occur once, together. `zz*` were never counted.
+        let mut cols: Vec<Vec<String>> = (0..30)
+            .map(|i| vec![format!("a{i}"), format!("b{}", i % 3), "shared".to_string()])
+            .collect();
+        cols.push(vec!["c0".to_string(), "c1".to_string()]);
+        let corpus = Corpus::from_columns(
+            cols.into_iter()
+                .map(|c| Column::new(c, SourceTag::Web))
+                .collect(),
+        );
+        let exact = LanguageStats::build(Language::leaf(), &corpus, &StatsConfig::default());
+        // A sketch this small estimates some never-seen pairs above 0.
+        let mut sketched = exact.clone();
+        sketched.compress_cooccurrence(SketchSpec {
+            budget_bytes: 64,
+            depth: 2,
+            ..SketchSpec::default()
+        });
+        let unseen: Vec<String> = (0..12).map(|i| format!("zz{i}")).collect();
+        let mixed: Vec<String> = [
+            "a0", "a1", "a2", "b0", "b1", "shared", "c0", "c1", "zz0", "zz1",
+        ]
+        .iter()
+        .map(|v| v.to_string())
+        .collect();
+        let params = NpmiParams::default();
+        let mut sketch_saw_unseen_pair = false;
+        for (backend, stats) in [("exact", &exact), ("sketched", &sketched)] {
+            for (shape, values) in [("unseen", &unseen), ("mixed", &mixed)] {
+                let patterns: Vec<PatternHash> =
+                    values.iter().map(|v| stats.pattern_of(v)).collect();
+                let dim = patterns.len();
+                let m = stats.npmi_matrix(&patterns, params, None);
+                assert_eq!(m.probes, (dim * (dim - 1) / 2) as u64, "{backend} {shape}");
+                assert_eq!(m.memo_hits, 0);
+                for i in 0..dim {
+                    for j in 0..dim {
+                        let want = if i == j {
+                            1.0
+                        } else {
+                            stats.npmi_patterns(patterns[i], patterns[j], params)
+                        };
+                        assert_eq!(
+                            m.at(i, j).to_bits(),
+                            want.to_bits(),
+                            "{backend} {shape} ({}, {})",
+                            values[i],
+                            values[j]
+                        );
+                        if backend == "sketched"
+                            && i != j
+                            && stats.occurrence(patterns[i]) == 0
+                            && stats.cooccurrence(patterns[i], patterns[j]) > 0
+                        {
+                            sketch_saw_unseen_pair = true;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            sketch_saw_unseen_pair,
+            "the sketch estimated no unseen pair above 0"
+        );
     }
 
     #[test]

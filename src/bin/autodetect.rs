@@ -279,12 +279,13 @@ fn cmd_train(args: &cli::Args) -> Result<(), String> {
     eprintln!(
         "pipeline: {} columns, {} distinct values interned ({} occurrences), \
          {} generalizations performed, {} saved vs per-column rescan, \
-         peak cooc tables {} KB",
+         largest batch's pairs at {} B each {} KB (model-size accounting, not live memory)",
         p.columns,
         p.interned_values,
         p.value_occurrences,
         p.generalizations_performed,
         p.generalizations_saved,
+        auto_detect::stats::store::COOC_ENTRY_BYTES,
         p.peak_cooc_bytes / 1024
     );
     // Each language is consumed on the task that accumulates it, so the
