@@ -778,34 +778,30 @@ impl AutoDetect {
         // Joint groups: values equivalent under *every* language form one
         // equivalence class (successive partition refinement); flagging,
         // confidence, k* and score are pure functions of the class pair.
-        // A language that keeps every value distinct already is that
-        // partition (its first-seen ids are `0..d`), so a dense column
-        // skips the refinement.
-        let (joint_of, n_joint) = match group_of
-            .iter()
-            .zip(&group_patterns)
-            .find(|(_, pats)| pats.len() == d)
-        {
-            Some((of, _)) => (of.clone(), d),
-            None => {
-                let mut joint_of: Vec<u32> = vec![0; d];
-                let mut n_joint = 1usize;
-                for of in &group_of {
-                    let mut remap: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-                    let mut next = 0u32;
-                    for i in 0..d {
-                        let id = *remap.entry((joint_of[i], of[i])).or_insert_with(|| {
-                            let id = next;
-                            next += 1;
-                            id
-                        });
-                        joint_of[i] = id;
-                    }
-                    n_joint = next as usize;
-                }
-                (joint_of, n_joint)
-            }
+        // Refinement starts from the finest language's first-seen ids and
+        // stops once every value is its own class, so a column some
+        // language keeps all-distinct builds no remap at all.
+        let finest = (0..num_langs).max_by_key(|&k| group_patterns[k].len());
+        let (mut joint_of, mut n_joint) = match finest {
+            Some(k) => (group_of[k].clone(), group_patterns[k].len()),
+            None => (vec![0; d], 1),
         };
+        for of in &group_of {
+            if n_joint == d {
+                break;
+            }
+            let mut remap: FxHashMap<(u32, u32), u32> = FxHashMap::default();
+            let mut next = 0u32;
+            for i in 0..d {
+                let id = *remap.entry((joint_of[i], of[i])).or_insert_with(|| {
+                    let id = next;
+                    next += 1;
+                    id
+                });
+                joint_of[i] = id;
+            }
+            n_joint = next as usize;
+        }
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_joint];
         for (i, &jg) in joint_of.iter().enumerate() {
             members[jg as usize].push(i);
@@ -834,78 +830,50 @@ impl AutoDetect {
             .copied()
             .map(PrecisionMemo::new)
             .collect();
-        // A flagged pair's confidence, k* and reported score.
-        let mut verdict_of = |scores: &[f64]| -> (f64, usize, f64) {
-            let confidence = match aggregator {
-                // `Aggregator::suspicion`'s fold, over memoized P_k(s).
-                Aggregator::AutoDetect => scores
-                    .iter()
-                    .zip(&mut precision)
-                    .map(|(&s, p)| p.at(s))
-                    .fold(0.0, f64::max),
-                _ => aggregator.suspicion(scores, &calibrations),
-            };
-            let k = scores
-                .iter()
-                .enumerate()
-                .min_by(|x, y| x.1.total_cmp(y.1))
-                .map(|(k, _)| k)
-                .unwrap_or(0);
-            let min_firing_score = scores
-                .iter()
-                .zip(calibrations.iter().copied())
-                .filter(|(&s, c)| c.fires(s))
-                .map(|(&s, _)| s)
-                .fold(f64::INFINITY, f64::min);
-            let score = if min_firing_score.is_finite() {
-                min_firing_score
-            } else {
-                scores.iter().copied().fold(f64::INFINITY, f64::min)
-            };
-            (confidence, k, score)
-        };
-        // The verdict is a pure function of the scores, so a class pair
-        // whose scores repeat the last evaluated pair's bit for bit takes
-        // its verdict: on a dense column most consecutive pairs share the
-        // unseen-pair score under every language.
-        let mut last_bits: Vec<u64> = vec![0; num_langs];
-        let mut last_verdict: Option<Option<(f64, usize, f64)>> = None;
         let mut flagged: Vec<FlaggedClassPair> = Vec::new();
         let mut class_degree = vec![0.0f64; n_joint];
         for a in 0..n_joint {
             for b in a..n_joint {
-                let verdict = if a == b {
+                if a == b {
                     if !intra_flags || members[a].len() < 2 {
                         continue;
                     }
                     scores.iter_mut().for_each(|s| *s = 1.0);
-                    verdict_of(&scores)
                 } else {
                     let (ra, rb) = (members[a][0], members[b][0]);
                     for (k, m) in matrices.iter().enumerate() {
                         scores[k] = m.at(group_of[k][ra] as usize, group_of[k][rb] as usize);
                     }
-                    let repeat = last_verdict.is_some()
-                        && scores
-                            .iter()
-                            .zip(&last_bits)
-                            .all(|(s, &bits)| s.to_bits() == bits);
-                    if !repeat {
-                        last_verdict = Some(
-                            aggregator
-                                .flags(&scores, &calibrations)
-                                .then(|| verdict_of(&scores)),
-                        );
-                        for (bits, s) in last_bits.iter_mut().zip(&scores) {
-                            *bits = s.to_bits();
-                        }
+                    if !aggregator.flags(&scores, &calibrations) {
+                        continue;
                     }
-                    match last_verdict.flatten() {
-                        Some(v) => v,
-                        None => continue,
-                    }
+                }
+                let confidence = match aggregator {
+                    // `Aggregator::suspicion`'s fold, over memoized P_k(s).
+                    Aggregator::AutoDetect => scores
+                        .iter()
+                        .zip(&mut precision)
+                        .map(|(&s, p)| p.at(s))
+                        .fold(0.0, f64::max),
+                    _ => aggregator.suspicion(&scores, &calibrations),
                 };
-                let (confidence, k, score) = verdict;
+                let k = scores
+                    .iter()
+                    .enumerate()
+                    .min_by(|x, y| x.1.total_cmp(y.1))
+                    .map(|(k, _)| k)
+                    .unwrap_or(0);
+                let min_firing_score = scores
+                    .iter()
+                    .zip(calibrations.iter().copied())
+                    .filter(|(&s, c)| c.fires(s))
+                    .map(|(&s, _)| s)
+                    .fold(f64::INFINITY, f64::min);
+                let score = if min_firing_score.is_finite() {
+                    min_firing_score
+                } else {
+                    scores.iter().copied().fold(f64::INFINITY, f64::min)
+                };
                 if a == b {
                     let n = members[a].len();
                     stats.pairs_flagged += (n * (n - 1) / 2) as u64;

@@ -619,3 +619,58 @@ fn free_text_columns_match_reference_under_every_aggregator() {
         }
     }
 }
+
+#[test]
+fn crossing_language_partitions_refine_to_joint_classes() {
+    // L1 keeps only symbols and the second language only digits, so
+    // neither partition refines the other: `1-1` and `1/1` share a digit
+    // pattern but not a symbol one, `1-1` and `2-2` the reverse. The
+    // joint classes are the values themselves, finer than either
+    // language's groups; stopping the refinement at one language would
+    // merge values that clash under the other.
+    use adt_corpus::{Column, Corpus, SourceTag};
+    use adt_patterns::{Language, Level};
+    let mut model = tiny_model();
+    let digits_only = Language::new(Level::Root, Level::Root, Level::Leaf, Level::Root)
+        .expect("a legal language");
+    let corpus = Corpus::from_columns(
+        (0..40)
+            .map(|i| {
+                Column::new(
+                    vec![format!("{}-{}", i % 4, i % 4), format!("{}-x", i % 3)],
+                    SourceTag::Web,
+                )
+            })
+            .collect(),
+    );
+    model.languages[0].stats =
+        adt_stats::LanguageStats::build(digits_only, &corpus, &adt_stats::StatsConfig::default());
+    let mut rng = StdRng::seed_from_u64(0xAD7_0400);
+    for (ai, aggregator) in [Aggregator::AutoDetect, Aggregator::MinNpmi]
+        .into_iter()
+        .enumerate()
+    {
+        let mut warm = PatternCache::new();
+        for case in 0..8 {
+            let mut counts: Vec<(String, usize)> = Vec::new();
+            for digit in 0..3 {
+                for sep in ["-", "/", "."] {
+                    if rng.random_range(0..4u32) > 0 {
+                        let count = 1 + rng.random_range(0..3u32) as usize;
+                        counts.push((format!("{digit}{sep}{digit}"), count));
+                    }
+                }
+            }
+            let ctx = format!("crossing partitions, {aggregator:?} ({ai}), case {case}");
+            assert_kernels_agree(&model, &counts, aggregator, &mut warm, &ctx);
+        }
+    }
+    let counts: Vec<(String, usize)> = ["1-1", "1/1", "2-2", "2/2"]
+        .iter()
+        .map(|v| (v.to_string(), 1))
+        .collect();
+    let (_, stats) =
+        model.scan_value_counts(&counts, Aggregator::AutoDetect, &mut PatternCache::new());
+    assert_eq!(stats.groups_per_language, vec![2, 2]);
+    assert!(stats.pairs_flagged > 0, "no clash under either language");
+}
