@@ -1,7 +1,7 @@
 //! Unchecked-arithmetic: raw integer operators in kernel scope.
 //!
-//! The SWAR bit-packing kernels (`run_word`'s tag|len|literal framing,
-//! the classify word scan, the detector's memo keys, the pipeline's
+//! The bit-packing kernels (`run_word`'s tag|len|literal framing, the
+//! pattern-hash kernel's tokens, the detector's memo keys, the pipeline's
 //! intern ids) are exactly the code where a silent wrap or truncation
 //! corrupts results instead of crashing. In files under
 //! [`FileClass::arith_scope`](crate::FileClass) this rule flags:

@@ -3,7 +3,7 @@
 //! PRs 1–8 rest on invariants the compiler does not check: scans are
 //! byte-identical across thread counts and hash-map iteration orders, a
 //! panic never escapes a serve worker, no lock is held across blocking
-//! I/O, the SWAR bit-packing never silently wraps, and no `Result` is
+//! I/O, the kernels' bit-packing never silently wraps, and no `Result` is
 //! dropped on the model-swap path. This crate machine-checks them with a
 //! hand-rolled, std-only token analyzer (no `syn`: the workspace depends
 //! on path crates only). Since PR 9 the engine is *interprocedural*: a
@@ -82,7 +82,7 @@ pub struct FileClass {
     pub panic_scope: bool,
     /// Lock-discipline rules apply (adt-serve, ensemble/online threads).
     pub lock_scope: bool,
-    /// Unchecked-arithmetic rules apply (the SWAR/memo/intern kernels).
+    /// Unchecked-arithmetic rules apply (the pattern-hash/memo/intern kernels).
     pub arith_scope: bool,
     /// Error-path rules apply (serve handlers, the learn/online loop).
     pub errorpath_scope: bool,
@@ -111,11 +111,13 @@ pub fn classify(rel: &str) -> FileClass {
             || rel == "crates/stats/src/pool.rs"
             || rel == "crates/stats/src/store.rs"
             || rel == "crates/patterns/src/classify.rs"
+            || rel == "crates/patterns/src/multi.rs"
             || serve_handler,
         lock_scope: serve_src
             || rel == "crates/core/src/ensemble.rs"
             || rel == "crates/core/src/online.rs",
         arith_scope: rel == "crates/patterns/src/classify.rs"
+            || rel == "crates/patterns/src/multi.rs"
             || rel == "crates/patterns/src/pattern.rs"
             || rel == "crates/core/src/detector.rs"
             || rel == "crates/core/src/values.rs"

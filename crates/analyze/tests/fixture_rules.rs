@@ -75,7 +75,7 @@ fn seeded_violations_reported_with_file_and_line() {
         has(f, "crates/stats/src/pipeline.rs", 8, "panic-safety"),
         "{f:#?}"
     );
-    // panic-safety in the patterns classifier scope: the SWAR scanner's
+    // panic-safety in the patterns class-table scope: the hashing
     // hot path is held to the same kernel rules (computed index, unwrap).
     assert!(
         has(f, "crates/patterns/src/classify.rs", 4, "panic-safety"),

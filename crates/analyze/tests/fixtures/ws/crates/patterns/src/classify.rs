@@ -1,4 +1,4 @@
-//! Fixture: the SWAR character-class scanner is panic-scoped.
+//! Fixture: the patterns class-table file is panic-scoped.
 
 pub fn kind_at(table: &[u8; 128], b: usize, stride: usize) -> u8 {
     table[b * stride]

@@ -61,10 +61,10 @@ fn main() {
             .map(|e| {
                 let hu = *memo
                     .entry(e.u.as_str())
-                    .or_insert_with(|| Pattern::generalize(&e.u, lang).hash64());
+                    .or_insert_with(|| Pattern::hash_value(&e.u, lang));
                 let hv = *memo
                     .entry(e.v.as_str())
-                    .or_insert_with(|| Pattern::generalize(&e.v, lang).hash64());
+                    .or_insert_with(|| Pattern::hash_value(&e.v, lang));
                 stats.npmi_patterns(hu, hv, cfg.npmi)
             })
             .collect();

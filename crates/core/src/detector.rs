@@ -38,7 +38,7 @@ use crate::aggregate::Aggregator;
 use crate::calibrate::Calibration;
 use crate::values::ValueTable;
 use adt_corpus::Column;
-use adt_patterns::{Language, MultiGeneralizer, MultiHasher, PatternHash};
+use adt_patterns::{Language, MultiHasher, PatternHash};
 use adt_stats::memo::DEFAULT_MEMO_CAPACITY;
 use adt_stats::{FxHashMap, FxHasher, LanguageStats, NpmiMatrix, NpmiMemo, NpmiParams};
 use std::hash::{Hash, Hasher};
@@ -111,9 +111,9 @@ pub const VALUE_BYTES_CAPACITY: usize = 16_777_216;
 /// tokenization under every language). Values repeat heavily across the
 /// columns of real tables, so workers keep one cache alive across the
 /// columns they scan: each distinct value is generalized exactly once
-/// under *all* languages, in one character traversal by a
-/// [`MultiHasher`] (the kernel training uses, built when the cache binds
-/// to a model), then shared for the rest of the worker's life.
+/// under *all* languages by a [`MultiHasher`] (the kernel training
+/// uses, built when the cache binds to a model), then shared for the
+/// rest of the worker's life.
 /// The per-language memos let the group kernel skip recomputing NPMI for
 /// pattern pairs it has already scored in earlier columns.
 ///
@@ -166,7 +166,7 @@ impl PatternCache {
             values: ValueTable::default(),
             hashes: Vec::new(),
             width: 0,
-            hasher: MultiGeneralizer::new(&[]).hasher(),
+            hasher: MultiHasher::new(&[]),
             memos: Vec::new(),
             fingerprint: None,
             value_capacity: value_capacity.max(1),
@@ -240,7 +240,7 @@ impl PatternCache {
             let languages: Vec<Language> =
                 model.languages.iter().map(|l| l.stats.language).collect();
             self.width = languages.len();
-            self.hasher = MultiGeneralizer::new(&languages).hasher();
+            self.hasher = MultiHasher::new(&languages);
             self.memos = (0..model.languages.len())
                 .map(|_| NpmiMemo::with_capacity(self.memo_capacity))
                 .collect();
@@ -323,7 +323,9 @@ pub struct ScanStats {
     /// Surviving findings attributed to each language (index = position
     /// in [`AutoDetect::languages`]).
     pub findings_per_language: Vec<u64>,
-    /// Nanoseconds spent generalizing values to pattern hashes.
+    /// Nanoseconds spent getting each distinct value's pattern hashes:
+    /// the per-language vectors' allocation, every `PatternCache`
+    /// lookup and insert, and the hashing kernel on cache misses.
     pub hash_nanos: u64,
     /// Nanoseconds spent scoring pairs and attributing suspects.
     pub score_nanos: u64,

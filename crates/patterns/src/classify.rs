@@ -1,26 +1,7 @@
-//! Branch-free byte→character-class classification and SWAR run scanning:
-//! the shared generalization hot path under both the scan and train
-//! kernels.
-//!
-//! Every cell value the system touches is run-length encoded into
-//! `(char, CharKind, run)` triples before any language is applied. The
-//! per-character loop this module replaces classified and compared one
-//! `char` at a time; here the ASCII fast path classifies through a
-//! 128-entry lookup table and finds run boundaries on whole 8-byte words:
-//! the run's byte is broadcast across a `u64`, XORed against the next
-//! input word, and `trailing_zeros / 8` of the difference names the first
-//! non-matching lane (UTF-8 is little-endian-friendly here because
-//! `u64::from_le_bytes` puts the lowest-addressed byte in the lowest
-//! lane). Non-ASCII codepoints take a scalar fallback that extends runs by
-//! UTF-8 byte-slice equality without re-decoding. A `std::simd` variant is
-//! a natural nightly-only extension (16/32-lane compare + mask scan); the
-//! toolchain pinned for this repo is stable, so SWAR is the vectorized
-//! path and the scalar walk is retained as the differential reference
-//! under `cfg(any(test, feature = "reference-kernel"))`.
-//!
-//! Downstream, one [`CharRun`] becomes at most one FNV fold per language
-//! (see `Pattern::hash64`'s single-word run framing), so the hash cost of
-//! a value is proportional to its run count, not its byte length.
+//! The ASCII character-class table: byte → class index (upper, lower,
+//! digit, symbol), built at compile time. The hashing kernel in
+//! [`multi`](crate::multi) derives each language's byte → token table
+//! from it.
 
 use crate::language::CharKind;
 
@@ -78,138 +59,16 @@ pub fn kind_of_index(idx: u8) -> CharKind {
     }
 }
 
-/// One maximal run of a repeated character.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CharRun {
-    /// The repeated character.
-    pub ch: char,
-    /// `KIND_*` class index of `ch`.
-    pub kind: u8,
-    /// Number of occurrences (≥ 1).
-    pub len: u32,
-}
-
-/// Zero-allocation iterator over the maximal character runs of `value`,
-/// in order. Concatenating `ch.repeat(len)` over the yielded runs
-/// reproduces the input exactly; adjacent runs always differ in `ch`.
-pub fn char_runs(value: &str) -> CharRuns<'_> {
-    CharRuns { value, pos: 0 }
-}
-
-/// See [`char_runs`].
-#[derive(Debug, Clone)]
-pub struct CharRuns<'a> {
-    value: &'a str,
-    pos: usize,
-}
-
-/// `0x01` in every lane; multiplying broadcasts a byte across a word.
-const LANE_LSB: u64 = 0x0101_0101_0101_0101;
-
-impl Iterator for CharRuns<'_> {
-    type Item = CharRun;
-
-    fn next(&mut self) -> Option<CharRun> {
-        let bytes = self.value.as_bytes();
-        let &first = bytes.get(self.pos)?;
-        if first < 0x80 {
-            // ASCII fast path: word-at-a-time SWAR scan for the run end.
-            let broadcast = (first as u64).wrapping_mul(LANE_LSB);
-            // adt-allow(unchecked-arithmetic): pos ≤ len ≤ isize::MAX, so +1 cannot overflow usize
-            let mut end = self.pos + 1;
-            loop {
-                // adt-allow(unchecked-arithmetic): end ≤ len ≤ isize::MAX, so +8 cannot overflow usize
-                let Some(chunk) = bytes.get(end..end + 8) else {
-                    // Fewer than 8 bytes left: scalar tail.
-                    while bytes.get(end) == Some(&first) {
-                        end += 1;
-                    }
-                    break;
-                };
-                let Ok(word) = <[u8; 8]>::try_from(chunk) else {
-                    break;
-                };
-                let diff = u64::from_le_bytes(word) ^ broadcast;
-                if diff == 0 {
-                    end += 8;
-                } else {
-                    // First differing lane = first non-matching byte.
-                    end += (diff.trailing_zeros() / 8) as usize;
-                    break;
-                }
-            }
-            // adt-allow(unchecked-arithmetic): run length ≤ value byte length; 4 GiB single-char cells are outside the cell-size contract
-            let len = (end - self.pos) as u32;
-            self.pos = end;
-            Some(CharRun {
-                ch: first as char,
-                kind: ascii_kind(first),
-                len,
-            })
-        } else {
-            // Non-ASCII scalar fallback: decode once, then extend the run
-            // by raw UTF-8 byte-slice equality.
-            let rest = self.value.get(self.pos..)?;
-            let ch = rest.chars().next()?;
-            let width = ch.len_utf8();
-            let encoded = bytes.get(self.pos..self.pos + width);
-            let mut end = self.pos + width;
-            while encoded.is_some() && bytes.get(end..end + width) == encoded {
-                end += width;
-            }
-            // adt-allow(unchecked-arithmetic): run length ≤ value byte length; 4 GiB single-char cells are outside the cell-size contract
-            let len = ((end - self.pos) / width) as u32;
-            self.pos = end;
-            Some(CharRun {
-                ch,
-                kind: KIND_SYMBOL,
-                len,
-            })
-        }
-    }
-}
-
-/// LUT classification of a known-ASCII byte.
-#[inline]
-fn ascii_kind(b: u8) -> u8 {
-    match ASCII_KIND.get(b as usize) {
-        Some(&k) => k,
-        None => KIND_SYMBOL,
-    }
-}
-
-/// Scalar per-character reference for [`char_runs`]: the exact loop the
-/// SWAR scan replaced. Differential target only.
-#[cfg(any(test, feature = "reference-kernel"))]
-pub fn char_runs_reference(value: &str) -> Vec<CharRun> {
-    let mut out: Vec<CharRun> = Vec::new();
-    for c in value.chars() {
-        match out.last_mut() {
-            Some(run) if run.ch == c => run.len += 1,
-            _ => out.push(CharRun {
-                ch: c,
-                kind: kind_index_of(c),
-                len: 1,
-            }),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn runs_of(value: &str) -> Vec<CharRun> {
-        char_runs(value).collect()
-    }
 
     #[test]
     fn lut_agrees_with_charkind_for_all_ascii() {
         for b in 0u8..128 {
             let c = b as char;
             assert_eq!(
-                kind_of_index(ascii_kind(b)),
+                kind_of_index(kind_index_of(c)),
                 CharKind::of(c),
                 "byte {b:#04x}"
             );
@@ -221,124 +80,6 @@ mod tests {
         for c in ['é', 'ß', '日', '😀', '\u{80}', '\u{10FFFF}'] {
             assert_eq!(kind_index_of(c), KIND_SYMBOL);
             assert_eq!(kind_of_index(kind_index_of(c)), CharKind::of(c));
-        }
-    }
-
-    #[test]
-    fn empty_value_yields_no_runs() {
-        assert!(runs_of("").is_empty());
-    }
-
-    #[test]
-    fn ascii_boundary_bytes() {
-        // 0x00 and 0x7F are valid one-byte codepoints and classify as
-        // symbols; runs of them must survive the SWAR scan.
-        let low = "\u{0}".repeat(11);
-        let high = "\u{7f}".repeat(11);
-        for (s, ch) in [(low.as_str(), '\u{0}'), (high.as_str(), '\u{7f}')] {
-            let runs = runs_of(s);
-            assert_eq!(
-                runs,
-                vec![CharRun {
-                    ch,
-                    kind: KIND_SYMBOL,
-                    len: 11
-                }]
-            );
-        }
-        // A 0x00 run adjacent to other classes still splits correctly.
-        let mixed = "A\u{0}\u{0}z";
-        let kinds: Vec<u8> = runs_of(mixed).iter().map(|r| r.kind).collect();
-        assert_eq!(kinds, vec![KIND_UPPER, KIND_SYMBOL, KIND_LOWER]);
-    }
-
-    #[test]
-    fn runs_spanning_word_boundaries() {
-        // Every run length from 1 to 40 crosses (or exactly lands on) the
-        // 8-byte SWAR word in a different phase; all must round-trip.
-        for len in 1..=40usize {
-            for prefix in ["", "x", "xxxxxxx", "xxxxxxxx"] {
-                let s = format!("{prefix}{}", "7".repeat(len));
-                let runs = runs_of(&s);
-                let want_prefix = usize::from(!prefix.is_empty());
-                assert_eq!(runs.len(), want_prefix + 1, "value {s:?}");
-                let Some(last) = runs.last() else {
-                    panic!("no runs for {s:?}");
-                };
-                assert_eq!(
-                    (last.ch, last.kind, last.len),
-                    ('7', KIND_DIGIT, len as u32)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn multibyte_runs_and_mixed_width_boundaries() {
-        let cases: &[(&str, usize)] = &[
-            ("café", 4),
-            ("ééé", 1),
-            ("日本語123", 6),
-            ("😀😀😀", 1),
-            ("aé", 2),
-            ("éa", 2),
-            ("aaaaaaaaé", 2), // ASCII run ends exactly where a 2-byte char starts
-            ("é日é", 3),      // adjacent multibyte chars of different width
-        ];
-        for &(s, want_runs) in cases {
-            let runs = runs_of(s);
-            assert_eq!(runs.len(), want_runs, "value {s:?}");
-            let rebuilt: String = runs
-                .iter()
-                .map(|r| r.ch.to_string().repeat(r.len as usize))
-                .collect();
-            assert_eq!(rebuilt, s, "round-trip of {s:?}");
-        }
-    }
-
-    #[test]
-    fn swar_scan_matches_scalar_reference() {
-        let long_digit = "9".repeat(5000);
-        let alternating: String = ('a'..='z').cycle().take(3000).collect();
-        let word_phases: Vec<String> = (0..24)
-            .map(|i| format!("{}{}{}", "A".repeat(i), "-".repeat(17), "b".repeat(24 - i)))
-            .collect();
-        let mut values: Vec<&str> = vec![
-            "",
-            "a",
-            "2011-01-01",
-            "July-01",
-            "café",
-            "naïve-Straße",
-            "日本語123",
-            "1,000,000.00",
-            "MIXEDcase99##",
-            "\t\n",
-            "   ",
-            "\u{0}\u{7f}\u{0}\u{7f}",
-            long_digit.as_str(),
-            alternating.as_str(),
-        ];
-        values.extend(word_phases.iter().map(String::as_str));
-        for v in values {
-            assert_eq!(
-                runs_of(v),
-                char_runs_reference(v),
-                "SWAR vs scalar on {v:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn adjacent_runs_always_differ() {
-        for v in ["aaAAaa", "--__--", "ééaaéé", "x".repeat(31).as_str()] {
-            let runs = runs_of(v);
-            for pair in runs.windows(2) {
-                let [a, b] = pair else { continue };
-                assert_ne!(a.ch, b.ch, "adjacent runs share a char in {v:?}");
-            }
-            let total: usize = runs.iter().map(|r| r.len as usize * r.ch.len_utf8()).sum();
-            assert_eq!(total, v.len(), "byte coverage of {v:?}");
         }
     }
 }

@@ -10,9 +10,9 @@
 //!   paper enumerates (144 candidates);
 //! * [`pattern`] — the result of applying a language to a value (Equation 3):
 //!   run-length token sequences such as `\D[4]\S\D[2]`;
-//! * [`classify`] — the branch-free byte→class classifier and SWAR
-//!   char-run scanner underneath `Pattern::generalize` and the
-//!   multi-language hasher;
+//! * [`classify`] — the ASCII byte→class table;
+//! * [`multi`] — the branch-free token-table kernel that hashes a value's
+//!   pattern under one or many languages without building the pattern;
 //! * [`enumeration`] — enumeration of the restricted candidate language
 //!   spaces used for language selection;
 //! * [`crude`] — the fixed crude generalization `G()` used by
@@ -43,11 +43,10 @@ pub mod multi;
 pub mod pattern;
 pub mod tree;
 
-pub use classify::{char_runs, CharRun, CharRuns};
 pub use crude::crude_generalize;
 pub use distance::{normalized_pattern_distance, pattern_distance};
 pub use enumeration::{enumerate_coarse_languages, enumerate_restricted_languages};
 pub use language::{CharKind, Language, Level};
-pub use multi::{MultiGeneralizer, MultiHasher};
+pub use multi::MultiHasher;
 pub use pattern::{Pattern, PatternHash, Token};
 pub use tree::{GeneralizationTree, NodeId};

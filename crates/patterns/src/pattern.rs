@@ -2,7 +2,6 @@
 //! (Equation 3 of the paper), stored as run-length token sequences such as
 //! `\D[4]\S\D[2]` or `\A[4]-\A[2]-\A[2]`.
 
-use crate::classify::{self, CharRun};
 use crate::language::{CharKind, Language, Level};
 use std::fmt;
 
@@ -56,25 +55,6 @@ impl Token {
     }
 }
 
-/// [`Token::of`] for a whole classified char run: the kind lookup is
-/// already done, so this is one `level_of` match per run instead of per
-/// character.
-#[inline]
-fn token_of_run(r: &CharRun, lang: &Language) -> Token {
-    let kind = classify::kind_of_index(r.kind);
-    match lang.level_of(kind) {
-        Level::Leaf => Token::Literal(r.ch),
-        Level::Class => match kind {
-            CharKind::Upper => Token::Upper,
-            CharKind::Lower => Token::Lower,
-            CharKind::Digit => Token::Digit,
-            CharKind::Symbol => Token::Symbol,
-        },
-        Level::Super => Token::Letter,
-        Level::Root => Token::Any,
-    }
-}
-
 /// 64-bit pattern identity used as the statistics key.
 ///
 /// Wraps an FNV-1a hash of the token stream. Collisions are possible in
@@ -114,7 +94,7 @@ pub(crate) const TAG_LITERAL: u8 = 0;
 /// The [`run_word`] tag a character of `kind` maps to under a language
 /// that holds `kind` at `level`.
 #[inline]
-pub(crate) fn tag_of(level: Level, kind: CharKind) -> u8 {
+pub(crate) const fn tag_of(level: Level, kind: CharKind) -> u8 {
     match level {
         Level::Leaf => TAG_LITERAL,
         Level::Class => match kind {
@@ -149,29 +129,11 @@ pub struct Pattern {
 
 impl Pattern {
     /// Applies `lang` to `value` (Equation 3) and run-length encodes the
-    /// token stream. The empty value produces the empty pattern.
-    ///
-    /// Character runs come from the SWAR scanner in
-    /// [`classify`](crate::classify); each maximal char run maps to one
-    /// token in O(1), and adjacent runs that land on the same class token
-    /// are merged (adjacent `Literal` runs never merge — maximal char
-    /// runs already differ in their character).
+    /// token stream, one character at a time. The empty value produces
+    /// the empty pattern. This plain loop is the oracle every hashing
+    /// test pins [`Pattern::hash_value`] and
+    /// [`MultiHasher`](crate::MultiHasher) against.
     pub fn generalize(value: &str, lang: &Language) -> Pattern {
-        let mut runs: Vec<(Token, u32)> = Vec::with_capacity(8);
-        for r in classify::char_runs(value) {
-            let t = token_of_run(&r, lang);
-            match runs.last_mut() {
-                Some((last, n)) if *last == t => *n += r.len,
-                _ => runs.push((t, r.len)),
-            }
-        }
-        Pattern { runs }
-    }
-
-    /// Scalar per-character reference for [`Pattern::generalize`]: the
-    /// loop the SWAR path replaced, kept as a differential target.
-    #[cfg(any(test, feature = "reference-kernel"))]
-    pub fn generalize_reference(value: &str, lang: &Language) -> Pattern {
         let mut runs: Vec<(Token, u32)> = Vec::with_capacity(8);
         for c in value.chars() {
             let t = Token::of(c, lang);
@@ -184,45 +146,10 @@ impl Pattern {
     }
 
     /// `Pattern::generalize(value, lang).hash64()` without materializing
-    /// the pattern: char runs fold straight into the FNV state, one
-    /// multiply per pattern run. This is the single-language scan/train
-    /// hot path.
+    /// the pattern: the one-language case of the
+    /// [`MultiHasher`](crate::MultiHasher) kernel.
     pub fn hash_value(value: &str, lang: &Language) -> PatternHash {
-        let tags = [
-            tag_of(lang.upper, CharKind::Upper),
-            tag_of(lang.lower, CharKind::Lower),
-            tag_of(lang.digit, CharKind::Digit),
-            tag_of(lang.symbol, CharKind::Symbol),
-        ];
-        let mut h = FNV_OFFSET;
-        let mut cur_tag = 0u8;
-        let mut cur_lit = 0u32;
-        let mut cur_len = 0u32;
-        for r in classify::char_runs(value) {
-            let tag = match tags.get(r.kind as usize) {
-                Some(&t) => t,
-                None => 5, // unreachable: kind is always 0..4
-            };
-            let lit = if tag == TAG_LITERAL {
-                u32::from(r.ch)
-            } else {
-                0
-            };
-            if cur_len > 0 && tag == cur_tag && (tag != TAG_LITERAL || lit == cur_lit) {
-                cur_len += r.len;
-            } else {
-                if cur_len > 0 {
-                    h = fnv1a_word(h, run_word(cur_tag, cur_len, cur_lit));
-                }
-                cur_tag = tag;
-                cur_lit = lit;
-                cur_len = r.len;
-            }
-        }
-        if cur_len > 0 {
-            h = fnv1a_word(h, run_word(cur_tag, cur_len, cur_lit));
-        }
-        PatternHash(h)
+        crate::multi::hash_value(value, lang)
     }
 
     /// The run-length tokens of this pattern.
@@ -386,7 +313,7 @@ mod tests {
         assert_eq!(p.to_string(), r"\L[3]\S");
     }
 
-    /// Values chosen to stress the SWAR scanner: boundary bytes, word
+    /// Values chosen to stress the hashing kernel: boundary bytes, block
     /// phases, multibyte UTF-8, and long runs.
     fn differential_values() -> Vec<String> {
         let mut values: Vec<String> = [
@@ -422,31 +349,13 @@ mod tests {
     }
 
     #[test]
-    fn swar_generalize_matches_scalar_reference_all_144_languages() {
-        let languages = crate::enumeration::enumerate_restricted_languages();
-        for v in differential_values() {
-            for lang in &languages {
-                let fast = Pattern::generalize(&v, lang);
-                let slow = Pattern::generalize_reference(&v, lang);
-                assert_eq!(fast, slow, "value {v:?} under {}", lang.id());
-                assert_eq!(
-                    fast.hash64(),
-                    slow.hash64(),
-                    "hash of {v:?} under {}",
-                    lang.id()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn hash_value_matches_generalize_then_hash_all_144_languages() {
         let languages = crate::enumeration::enumerate_restricted_languages();
         for v in differential_values() {
             for lang in &languages {
                 assert_eq!(
                     Pattern::hash_value(&v, lang),
-                    Pattern::generalize_reference(&v, lang).hash64(),
+                    Pattern::generalize(&v, lang).hash64(),
                     "value {v:?} under {}",
                     lang.id()
                 );

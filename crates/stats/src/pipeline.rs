@@ -15,11 +15,11 @@
 //!    change no statistic.
 //! 2. **Generalize** (once per language batch): for a batch of `K`
 //!    candidate languages, compute all `K` pattern hashes of every
-//!    interned value in a single character traversal per value
-//!    ([`MultiGeneralizer`]), filling an `n_values × K` hash matrix in
-//!    parallel chunks. Work is proportional to *distinct* values, not
-//!    value occurrences — corpora repeat values heavily, so this is the
-//!    big algorithmic win over the per-column scan.
+//!    interned value with one [`MultiHasher`] per worker, filling an
+//!    `n_values × K` hash matrix in parallel chunks. Work is
+//!    proportional to *distinct* values, not value occurrences —
+//!    corpora repeat values heavily, so this is the big algorithmic win
+//!    over the per-column scan.
 //! 3. **Accumulate and consume** (once per language batch): one task per
 //!    batch language, claimed by workers from a shared cursor. A task
 //!    reads the language's column of the hash matrix and first
@@ -56,7 +56,7 @@ use crate::fxhash::FxHashMap;
 use crate::language_stats::StatsConfig;
 use crate::pool::{join_all, parallel_map, resolve_threads, StatsError};
 use adt_corpus::Corpus;
-use adt_patterns::{Language, MultiGeneralizer, PatternHash};
+use adt_patterns::{Language, MultiHasher, PatternHash};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -331,15 +331,14 @@ impl<'c> TrainPipeline<'c> {
         }
         let n_values = self.values.len();
 
-        // Phase 2: one character traversal per interned value (probes
-        // included) emits the pattern hash under every language in the
-        // batch.
+        // Phase 2: every interned value (probes included) is hashed
+        // under every language in the batch.
         let t0 = clock();
-        let generalizer = MultiGeneralizer::new(batch);
+        let hasher = MultiHasher::new(batch);
         let mut matrix: Vec<PatternHash> = vec![PatternHash(0); n_values * k];
         let chunk = n_values.div_ceil(self.threads).max(1);
         {
-            let generalizer = &generalizer;
+            let hasher = &hasher;
             let panicked = std::thread::scope(|scope| {
                 let workers: Vec<_> = self
                     .values
@@ -347,7 +346,7 @@ impl<'c> TrainPipeline<'c> {
                     .zip(matrix.chunks_mut(chunk * k))
                     .map(|(vals, out)| {
                         scope.spawn(move || {
-                            let mut hasher = generalizer.hasher();
+                            let mut hasher = hasher.clone();
                             for (v, row) in vals.iter().zip(out.chunks_mut(k)) {
                                 row.copy_from_slice(hasher.hash_value(v));
                             }
@@ -631,9 +630,9 @@ mod tests {
         );
     }
 
-    /// Values chosen to stress the SWAR classifier underneath the whole
+    /// Values chosen to stress the hashing kernel underneath the whole
     /// pipeline: multibyte UTF-8 in every width, ASCII boundary bytes
-    /// (0x00, 0x7F), empty values, and runs crossing 8-byte words — all
+    /// (0x00, 0x7F), empty values, and long same-character runs — all
     /// must stay byte-identical to the serial reference at 1/2/4/8
     /// threads.
     #[test]
@@ -668,8 +667,8 @@ mod tests {
     }
 
     /// Pins the stats-facing fast hash (`pattern_of`, i.e.
-    /// `Pattern::hash_value`) to the scalar per-character reference so a
-    /// classifier bug shared by both pipeline builds can't self-agree.
+    /// `Pattern::hash_value`) to the per-character `Pattern::generalize`
+    /// so a kernel bug shared by both pipeline builds can't self-agree.
     #[test]
     fn pattern_of_matches_scalar_reference() {
         use adt_patterns::Pattern;
@@ -688,7 +687,7 @@ mod tests {
             for v in values {
                 assert_eq!(
                     stats.pattern_of(v),
-                    Pattern::generalize_reference(v, &lang).hash64(),
+                    Pattern::generalize(v, &lang).hash64(),
                     "value {v:?} under {}",
                     lang.id()
                 );
